@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="attach the (1 - 1/e) certificate via exhaustive search")
     pg.add_argument("--out", help="write a report file")
     pg.add_argument("--threads", type=int, default=1,
-                    help="parallel gain evaluations per step")
+                    help="accepted for compatibility and ignored; selection runs serially")
     pg.add_argument("--cap", type=int, default=selection.EXHAUSTIVE_CAP,
                     help="subset cap for --certify")
     pg.set_defaults(func=cmd_greedy)

@@ -96,6 +96,7 @@ class InverseProblem:
 
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
+        self.active_set = frozenset(self.active)
         self.inactive = tuple(int(i) for i in np.flatnonzero(~nonzero))
 
     @property
@@ -166,11 +167,10 @@ def validate_design(p: InverseProblem, S) -> tuple[int, ...]:
     if len(set(idx)) != len(idx):
         raise ValueError(f"design contains duplicate indices: {idx}")
     idx = tuple(sorted(idx))
-    active = set(p.active)
     for i in idx:
         if not 0 <= i < p.n_s:
             raise ValueError(f"candidate index {i} out of range [0, {p.n_s})")
-        if i not in active:
+        if i not in p.active_set:
             raise ValueError(f"candidate index {i} is inactive (zero forward-map row)")
     return idx
 

@@ -14,6 +14,10 @@ evaluated with the coefficients of the unextended design, which is what
 makes one-step submodularity checks cheap.  DesignState tracks A^-1
 incrementally through rank-one updates, with a periodic dense refactor
 that bounds the accumulated drift.
+
+SchurKernel, the selection path's gain kernel, obtains the same gains
+from an incremental Cholesky factorization of I + K, with K the Gram matrix
+of the sensor vectors: a_vv is the Schur residual of candidate v.
 """
 
 from __future__ import annotations
@@ -129,8 +133,7 @@ def overlap(state: DesignState, i, j) -> float:
     p = state.problem
     i = _check_candidate(p, i)
     j = _check_candidate(p, j)
-    active = set(p.active)
-    if i not in active or j not in active:
+    if i not in p.active_set or j not in p.active_set:
         raise ValueError("overlap is undefined for inactive candidates")
     x = state.info_inv.rep @ p.precond_vecs[:, i]
     return float(x @ p.precond_vecs_w[:, j])
@@ -146,7 +149,7 @@ def marginal_gain(state: DesignState, v) -> float:
     v = _check_candidate(p, v)
     if v in state.design:
         raise ValueError(f"candidate {v} is already in the design")
-    if v not in set(p.active):
+    if v not in p.active_set:
         return 0.0
     return math.log1p(overlap(state, v, v))
 
@@ -165,10 +168,9 @@ def marginal_gain_conditioned(state: DesignState, v, w) -> float:
         raise ValueError("conditioned gain requires two distinct candidates")
     if v in state.design or w in state.design:
         raise ValueError("candidates must lie outside the current design")
-    active = set(p.active)
-    if v not in active:
+    if v not in p.active_set:
         return 0.0
-    if w not in active:
+    if w not in p.active_set:
         return marginal_gain(state, v)
     a_vv = overlap(state, v, v)
     a_vw = overlap(state, v, w)
@@ -186,7 +188,7 @@ def extend(state: DesignState, v) -> DesignState:
     """
     p = state.problem
     v = _check_candidate(p, v)
-    if v not in set(p.active):
+    if v not in p.active_set:
         raise ValueError(f"candidate {v} is inactive and cannot be selected")
     if v in state.design:
         raise ValueError(f"candidate {v} is already in the design")
@@ -214,3 +216,55 @@ def _refactor(p: InverseProblem, design: Design, inv: Operator, phi: float) -> D
             f"incremental objective drifted: {phi!r} vs dense {fresh.phi!r}"
         )
     return fresh
+
+
+class SchurKernel:
+    """Incremental Cholesky factor of I + K over the active candidates.
+
+    K = W'W is the Gram matrix of the whitened sensor vectors W = L' st
+    (M = L L'), formed as in phi_eig.  Forming it as st' (M st) instead
+    is not a Gram product, and in the saturated regime (more sensors
+    than parameters) its rounding error grows with the conditioning of M.
+
+    Positions 0 .. m-1 index p.active.  After t selections the factor holds
+    rows e_0 .. e_{t-1}, and a candidate's Schur residual is
+
+        r_v = K_vv - sum_{s<t} e_s[v]^2,    gain of v = log1p(r_v).
+
+    Selecting position j with residual r_j appends
+
+        e_t = (K[:, j] - sum_{s<t} e_s e_s[j]) / sqrt(1 + r_j),
+
+    one column of K (an n x m product) plus O(t m) work.  Residuals only
+    shrink, also in floating point, so a residual computed at an earlier
+    step bounds the current one from above.  Callers that update residuals
+    themselves subtract e_s[v] * e_s[v] one step at a time, the order that
+    catch_up uses, so every path sees bitwise identical residuals.
+    """
+
+    def __init__(self, p: InverseProblem, k: int):
+        self.active = p.active
+        vecs = p.precond_vecs
+        if len(self.active) < p.n_s:
+            vecs = vecs[:, list(self.active)]
+        self._w = p.space.whitening_factor.T @ vecs
+        # K_vv for every position: the residuals before any selection
+        self.diag = np.einsum("ij,ij->j", self._w, self._w)
+        self.rows = np.empty((k, len(self.active)))
+        self.t = 0
+
+    def add(self, j: int, r_j: float) -> np.ndarray:
+        """Append the factor row of position j, whose current residual is r_j."""
+        t = self.t
+        prev = self.rows[:t]
+        col = self._w.T @ self._w[:, j]
+        e = (col - prev.T @ prev[:, j]) / math.sqrt(1.0 + r_j)
+        self.rows[t] = e
+        self.t = t + 1
+        return e
+
+    def catch_up(self, r: float, j: int, since: int) -> float:
+        """Residual r of position j, computed after `since` rows, brought up to date."""
+        for e in self.rows[since:self.t, j].tolist():
+            r = r - e * e
+        return r

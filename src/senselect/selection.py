@@ -3,8 +3,9 @@
 greedy picks the largest marginal gain k times; lazy_greedy reproduces the
 same selections while skipping most gain evaluations by keeping stale
 upper bounds in a heap (valid because gains only shrink as the design
-grows).  exhaustive enumerates every size-k subset under a configurable
-cap, and certify_bound attaches the (1 - 1/e) optimality certificate that
+grows).  Both score candidates with objective.SchurKernel.  exhaustive
+enumerates every size-k subset under a configurable cap, and
+certify_bound attaches the (1 - 1/e) optimality certificate that
 monotonicity plus submodularity guarantee for the greedy value.
 """
 
@@ -14,7 +15,6 @@ import heapq
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +25,11 @@ from .objective import Design
 
 EXHAUSTIVE_CAP = 2_000_000
 GAIN_MONOTONE_TOL = 1e-9
+# Greedy candidates whose Schur residual, and hence gain, lies within this
+# relative distance of the best are re-scored by phi_eig.  Mirror-symmetric
+# designs tie in exact arithmetic; without the re-score rounding noise
+# of the kernel would decide which one comes first.
+TIE_RTOL = 1e-10
 CERTIFICATE_SLACK = 1e-12
 GUARANTEE_FLOOR = 1.0 - 1.0 / math.e
 
@@ -56,7 +61,9 @@ class SelectionReport:
     selection order; phi_final is the densely recomputed objective of the
     chosen design and eig_final = phi_final / 2 is the expected
     information gain in nats.  wall_time is runtime metadata and is not
-    part of the serialized report.
+    part of the serialized report.  Neither is gain_evals, the number of
+    candidate gains greedy and lazy greedy computed (None for the other
+    methods).
     """
 
     method: str
@@ -69,6 +76,7 @@ class SelectionReport:
     seed: int | None = None
     bound_certificate: Certificate | None = None
     wall_time: float | None = None
+    gain_evals: int | None = None
 
 
 def _check_budget(p: InverseProblem, k: int) -> int:
@@ -76,13 +84,6 @@ def _check_budget(p: InverseProblem, k: int) -> int:
     if k < 0 or k > len(p.active):
         raise ValueError(f"budget {k} outside [0, {len(p.active)}] active candidates")
     return k
-
-
-def _gains(state, candidates, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda v: objective.marginal_gain(state, v), candidates))
-    return [objective.marginal_gain(state, v) for v in candidates]
 
 
 def _step_checks(gain: float, prev_gain: float) -> None:
@@ -94,58 +95,86 @@ def _step_checks(gain: float, prev_gain: float) -> None:
         )
 
 
+def _break_tie(p: InverseProblem, steps, near: list[int], active) -> int:
+    """The near-tied position whose design phi_eig scores highest.
+
+    near holds positions in ascending order, so exact ties of phi_eig go
+    to the lowest index.
+    """
+    if len(near) == 1:
+        return near[0]
+    base = [i for i, _, _ in steps]
+    vals = [objective.phi_eig(p, base + [active[j]]) for j in near]
+    return near[vals.index(max(vals))]
+
+
+def _take(kern: objective.SchurKernel, steps: list, j: int, r: float) -> np.ndarray:
+    """Record position j, with residual r, as the next step; return its factor row."""
+    gain = math.log1p(r)
+    prev_gain, phi = steps[-1][1:] if steps else (math.inf, 0.0)
+    _step_checks(gain, prev_gain)
+    steps.append((kern.active[j], gain, phi + gain))
+    return kern.add(j, r)
+
+
 def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
-    """Plain greedy: evaluate every remaining candidate at every step."""
+    """Plain greedy: score every remaining candidate at every step.
+
+    Candidates whose Schur residual is within a relative TIE_RTOL of the
+    best are re-scored by phi_eig; see _break_tie.  threads is accepted
+    for compatibility and ignored.
+    """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
-    state = objective.design_state(p)
-    steps = []
-    prev_gain = math.inf
-    for _ in range(k):
-        candidates = [i for i in p.active if i not in state.design]
-        gains = _gains(state, candidates, threads)
-        pos = int(np.argmax(gains))  # first maximum, so ties pick the lowest index
-        best, gain = candidates[pos], gains[pos]
-        _step_checks(gain, prev_gain)
-        prev_gain = gain
-        state = objective.extend(state, best)
-        steps.append((best, gain, state.phi))
-    return _finish("greedy", p, state.design, steps, k, t0)
+    kern = objective.SchurKernel(p, k)
+    r = kern.diag.copy()
+    steps, evals = [], 0
+    for t in range(k):
+        evals += r.size - t
+        near = np.flatnonzero(r >= (1.0 - TIE_RTOL) * r.max()).tolist()
+        j = _break_tie(p, steps, near, kern.active)
+        e = _take(kern, steps, j, float(r[j]))
+        r -= e * e
+        r[j] = -math.inf  # selected: never near the maximum again
+    return _finish("greedy", p, Design(tuple(i for i, _, _ in steps)), steps, k, t0,
+                   gain_evals=evals)
 
 
 def lazy_greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
     """Greedy with stale upper bounds; selections identical to greedy.
 
-    Heap entries carry the design size at which the bound was computed.
-    An entry popped with a stale bound is re-evaluated and pushed back; a
-    fresh entry at the top of the heap is the true argmax because every
-    other bound only overestimates, and index order breaks exact ties the
-    same way plain greedy does.
+    Heap entries (-r, position, steps) carry the number of factor rows
+    their residual has seen.  A stale entry popped from the top is caught
+    up and pushed back; a fresh entry at the top holds the true maximum,
+    because every other residual only shrinks below its bound.  Entries
+    whose bound reaches within TIE_RTOL of that maximum are refreshed too,
+    so the near-tie set, and with it the pick, is the one plain greedy
+    sees.  threads is accepted for compatibility and ignored.
     """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
-    state = objective.design_state(p)
-    candidates = list(p.active)
-    heap = [
-        (-g, v, 0)
-        for v, g in zip(candidates, _gains(state, candidates, threads))
-    ]
+    kern = objective.SchurKernel(p, k)
+    heap = [(-r, j, 0) for j, r in enumerate(kern.diag.tolist())]
     heapq.heapify(heap)
-    steps = []
-    prev_gain = math.inf
-    for _ in range(k):
-        size = len(state.design)
-        while True:
-            neg_gain, v, version = heapq.heappop(heap)
-            if version == size:
-                break
-            heapq.heappush(heap, (-objective.marginal_gain(state, v), v, size))
-        gain = -neg_gain
-        _step_checks(gain, prev_gain)
-        prev_gain = gain
-        state = objective.extend(state, v)
-        steps.append((v, gain, state.phi))
-    return _finish("lazy_greedy", p, state.design, steps, k, t0)
+    steps, evals = [], len(heap)
+    for t in range(k):
+        floor, near = None, {}
+        while heap and (floor is None or -heap[0][0] >= floor):
+            neg, j, since = heapq.heappop(heap)
+            if since < t:
+                heapq.heappush(heap, (-kern.catch_up(-neg, j, since), j, t))
+                evals += 1
+                continue
+            if floor is None:  # the first fresh entry holds the maximum
+                floor = (1.0 - TIE_RTOL) * -neg
+            near[j] = -neg
+        j = _break_tie(p, steps, sorted(near), kern.active)
+        r = near.pop(j)
+        for v, r_v in near.items():
+            heapq.heappush(heap, (-r_v, v, t))
+        _take(kern, steps, j, r)
+    return _finish("lazy_greedy", p, Design(tuple(i for i, _, _ in steps)), steps, k, t0,
+                   gain_evals=evals)
 
 
 def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> SelectionReport:
@@ -221,7 +250,7 @@ def _ascending_trace(p: InverseProblem, chosen):
     return steps, prev
 
 
-def _finish(method, p, design, steps, k, t0, seed=None) -> SelectionReport:
+def _finish(method, p, design, steps, k, t0, seed=None, gain_evals=None) -> SelectionReport:
     phi_final = objective.phi_eig(p, design)
     return SelectionReport(
         method=method,
@@ -233,4 +262,5 @@ def _finish(method, p, design, steps, k, t0, seed=None) -> SelectionReport:
         problem_hash=p.content_hash(),
         seed=seed,
         wall_time=time.perf_counter() - t0,
+        gain_evals=gain_evals,
     )

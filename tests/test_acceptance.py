@@ -8,9 +8,11 @@ Run with -s to see the informational summary lines.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,9 +198,14 @@ def test_criterion_07_rank_one_identities_200_spaces():
 
 
 def _run_cli(args, cwd):
+    # the child runs in cwd, so point it at the package under test by an
+    # absolute path; a relative PYTHONPATH would not resolve there
+    src = str(Path(ss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "senselect", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )

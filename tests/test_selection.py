@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import objective
 
 from conftest import identity_problem, random_problem, report_fields, three_sensor_problem
 
@@ -124,7 +123,7 @@ def test_lazy_three_sensor_trace():
     assert r.chosen.indices == (0, 2)
 
 
-def test_lazy_orthogonal_candidates_need_one_refresh_per_step(monkeypatch):
+def test_lazy_orthogonal_candidates_need_one_refresh_per_step():
     """With decoupled sensors, stale gains are already exact.
 
     After the initial pass the lazy loop refreshes exactly one candidate
@@ -133,19 +132,98 @@ def test_lazy_orthogonal_candidates_need_one_refresh_per_step(monkeypatch):
     space = ss.WeightedSpace.euclidean(5)
     f = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
     p = ss.build_problem(space, f, np.ones(5), np.zeros(5), np.eye(5))
-    calls = 0
-    real = objective.marginal_gain
-
-    def counting(state, v):
-        nonlocal calls
-        calls += 1
-        return real(state, v)
-
-    monkeypatch.setattr(objective, "marginal_gain", counting)
     k = 4
     r = ss.lazy_greedy(p, k)
     assert r.chosen.indices == (0, 1, 2, 3)
-    assert calls == 5 + (k - 1)
+    assert r.gain_evals == 5 + (k - 1)
+
+
+def test_gain_evals_counts():
+    rng = np.random.default_rng(76)
+    space = ss.WeightedSpace.euclidean(4)
+    f = np.vstack([rng.standard_normal((9, 4)), np.zeros((2, 4))])
+    p = ss.build_problem(space, f, np.ones(11), np.zeros(4), np.eye(4))
+    active = len(p.active)
+    assert active == 9
+    assert ss.greedy(p, 0).gain_evals == 0
+    for k in (1, 5, 9):
+        g = ss.greedy(p, k)
+        assert g.gain_evals == sum(active - t for t in range(k))
+        assert active <= ss.lazy_greedy(p, k).gain_evals <= g.gain_evals
+    assert ss.exhaustive(p, 2).gain_evals is None
+
+
+def _assert_same_run(p, k):
+    g = ss.greedy(p, k)
+    l = ss.lazy_greedy(p, k)
+    assert g.chosen == l.chosen
+    assert g.per_step == l.per_step  # bitwise
+    assert g.phi_final == l.phi_final
+    return g, l
+
+
+def test_greedy_lazy_bitwise_equal_at_scale():
+    """Forty steps over three hundred candidates, and a saturated run.
+
+    Lazy greedy catches residuals up one step at a time while plain greedy
+    updates all of them at once; at these sizes any difference in
+    operation order between the two would show in the last bits.
+    """
+    p = random_problem(np.random.default_rng(77), 60, 300)
+    g, l = _assert_same_run(p, 40)
+    assert l.gain_evals < g.gain_evals
+    # k > n: every later step conditions on a spanning design
+    _assert_same_run(random_problem(np.random.default_rng(78), 6, 30, cond=1e4), 20)
+
+
+def test_readme_chain_step_order():
+    p = ss.generate(ss.ProblemSpec("chain", n=20, n_s=10, seed=7))
+    for r in _assert_same_run(p, 3):
+        assert [i for i, _, _ in r.per_step] == [9, 0, 1]
+
+
+def test_mirror_symmetric_tie_goes_to_phi_eig_then_lowest_index():
+    """Sensors at mirrored nodes of a chain tie in exact arithmetic.
+
+    The near-tie is settled by phi_eig of the extended design, and an
+    exact tie of phi_eig by the lower index.
+    """
+    spec = ss.ProblemSpec("chain", n=20, n_s=3, seed=0, sensor_nodes=(4, 15, 9))
+    p = ss.generate(spec)
+    a, b = ss.phi_eig(p, (0,)), ss.phi_eig(p, (1,))
+    assert abs(a - b) <= 1e-13 * a
+    assert max(ss.phi_eig(p, (2,)), a, b) == max(a, b)
+    want = 1 if b > a else 0
+    for r in _assert_same_run(p, 1):
+        assert r.chosen.indices == (want,)
+    # after sensor 2, the duplicates 0 and 1 tie bitwise everywhere
+    twin = ss.generate(ss.ProblemSpec("chain", n=20, n_s=3, seed=0, sensor_nodes=(9, 9, 2)))
+    for r in _assert_same_run(twin, 2):
+        assert [i for i, _, _ in r.per_step] == [2, 0]
+
+
+def test_saturated_gains_match_dense_phi_differences():
+    """k > n on ill-conditioned instances; the tolerance is a priori.
+
+    Each phi is a Cholesky factorization of dimension at most n + k whose
+    entries are bounded by 1 + max K_vv, so to first order each of the two
+    phi values in a difference errs by at most (n + k) eps (1 + max K_vv).
+    """
+    eps = np.finfo(float).eps
+    for seed in range(79, 84):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        p = random_problem(rng, n, 3 * n + 6, cond=1e4)
+        k = 2 * n + 3
+        w = p.space.whitening_factor.T @ p.precond_vecs
+        tol = 2.0 * (n + k) * eps * (1.0 + float(np.max(np.sum(w * w, axis=0))))
+        r = ss.greedy(p, k)
+        prev, idx = 0.0, []
+        for i, gain, _ in r.per_step:
+            idx.append(i)
+            val = ss.phi_eig(p, idx)
+            assert abs(gain - (val - prev)) <= tol
+            prev = val
 
 
 def test_exhaustive_three_sensor_enumeration():
