@@ -2,8 +2,9 @@
 
 Subcommands: eval, greedy, exhaustive, verify, gen.  Sensor indices are
 1-based on the command line and in files.  Exit codes: 0 on success, 2
-for parse errors, 3 for invariant violations, 4 when an enumeration cap
-is exceeded, and 5 for property violations.
+for parse errors (non-finite problem data included), 3 for invariant
+violations, 4 when an enumeration cap is exceeded, and 5 for property
+violations, including a greedy gain that is not positive or that rises.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _print_selection(report: selection.SelectionReport) -> None:
+def _emit_selection(report: selection.SelectionReport, out) -> int:
+    """Print the report and, when out is set, write it there."""
     if report.per_step:
         print(f"{'step':>4} {'sensor':>6} {'gain':>18} {'phi':>18}")
         for t, (idx, gain, phi) in enumerate(report.per_step, start=1):
@@ -59,6 +61,10 @@ def _print_selection(report: selection.SelectionReport) -> None:
             f"certificate opt_phi={_f12(cert.opt_phi)} "
             f"ratio={_f12(cert.ratio)} floor={_f12(cert.floor)}"
         )
+    if out:
+        fileio.write_report(report, out)
+        print(f"report written to {out}")
+    return 0
 
 
 def cmd_greedy(args) -> int:
@@ -68,21 +74,12 @@ def cmd_greedy(args) -> int:
     if args.certify:
         opt = selection.exhaustive(p, args.k, cap=args.cap)
         report = selection.certify_bound(report, opt)
-    _print_selection(report)
-    if args.out:
-        fileio.write_report(report, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return _emit_selection(report, args.out)
 
 
 def cmd_exhaustive(args) -> int:
     p = fileio.read_problem(args.problem)
-    report = selection.exhaustive(p, args.k, cap=args.cap)
-    _print_selection(report)
-    if args.out:
-        fileio.write_report(report, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return _emit_selection(selection.exhaustive(p, args.k, cap=args.cap), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -198,18 +195,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fileio.ProblemFormatError as exc:
+    except (fileio.ProblemFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except selection.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except selection.BoundViolationError as exc:
+    except RuntimeError as exc:
+        # BoundViolationError and the greedy gain guards of selection
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # includes numpy.linalg.LinAlgError; these are model invariant breaches
         print(f"error: {exc}", file=sys.stderr)

@@ -84,15 +84,35 @@ def _parse_floats(lineno, tokens, count, label):
         raise ProblemFormatError(
             f"{label} has {len(tokens)} values, expected {count}", lineno
         )
-    out = []
-    for col, tok in enumerate(tokens, start=1):
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ProblemFormatError(
-                f"{label}, value {col}: not a number: {tok!r}", lineno
-            ) from None
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError:  # parse again, naming the first bad value
+        return [_float(tok, f"{label}, value {col}", lineno)
+                for col, tok in enumerate(tokens, start=1)]
+
+
+def _finite_floats(lineno, tokens, count, label) -> np.ndarray:
+    """_parse_floats for problem data, which must be finite."""
+    out = np.array(_parse_floats(lineno, tokens, count, label))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        col = int(bad[0]) + 1
+        raise ProblemFormatError(f"{label}, value {col}: not finite: {tokens[col - 1]!r}", lineno)
     return out
+
+
+def _float(tok: str, what: str, lineno: int) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ProblemFormatError(f"{what}: not a number: {tok!r}", lineno) from None
+
+
+def _int(tok: str, what: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ProblemFormatError(f"{what}: not an integer: {tok!r}", lineno) from None
 
 
 def _expect_key(lines: _Lines, key: str):
@@ -103,13 +123,8 @@ def _expect_key(lines: _Lines, key: str):
 
 
 def _expect_int(lines: _Lines, key: str) -> int:
-    lineno, rest = _expect_key(lines, key)
-    if len(rest) != 1:
-        raise ProblemFormatError(f"'{key}' takes one value", lineno)
-    try:
-        return int(rest[0])
-    except ValueError:
-        raise ProblemFormatError(f"'{key}': not an integer: {rest[0]!r}", lineno) from None
+    lineno, val = _expect_value(lines, key)
+    return _int(val, f"'{key}'", lineno)
 
 
 def _read_matrix(lines: _Lines, key: str, rows: int, cols: int, allow_identity: bool):
@@ -122,14 +137,14 @@ def _read_matrix(lines: _Lines, key: str, rows: int, cols: int, allow_identity: 
     out = np.empty((rows, cols))
     for r in range(rows):
         rl, tokens = lines.next(f"row {r + 1} of {key}")
-        out[r] = _parse_floats(rl, tokens, cols, f"{key} row {r + 1}")
+        out[r] = _finite_floats(rl, tokens, cols, f"{key} row {r + 1}")
     return out
 
 
 def _read_vector(lines: _Lines, key: str, count: int):
     _expect_key(lines, key)
     lineno, tokens = lines.next(f"values of {key}")
-    return np.asarray(_parse_floats(lineno, tokens, count, key))
+    return _finite_floats(lineno, tokens, count, key)
 
 
 def parse_problem_text(text: str) -> InverseProblem:
@@ -287,10 +302,14 @@ def _expect_value(lines, key):
 
 def _expect_float(lines, key) -> float:
     lineno, val = _expect_value(lines, key)
-    try:
-        return float(val)
-    except ValueError:
-        raise ProblemFormatError(f"'{key}': not a number: {val!r}", lineno) from None
+    return _float(val, f"'{key}'", lineno)
+
+
+def _expect_flag(lines, key) -> bool:
+    lineno, val = _expect_value(lines, key)
+    if val not in ("yes", "no"):
+        raise ProblemFormatError(f"'{key}' must be 'yes' or 'no', got {val!r}", lineno)
+    return val == "yes"
 
 
 def parse_report_text(text: str) -> ReportFile:
@@ -316,10 +335,10 @@ def parse_report_text(text: str) -> ReportFile:
 def _parse_selection(lines, problem_hash) -> SelectionReport:
     _, method = _expect_value(lines, "method")
     lineno, seed_tok = _expect_value(lines, "seed")
-    seed = None if seed_tok == "unset" else int(seed_tok)
+    seed = None if seed_tok == "unset" else _int(seed_tok, "'seed'", lineno)
     k = _expect_int(lines, "k")
     lineno, chosen_toks = _expect_key(lines, "chosen")
-    chosen = Design(tuple(int(t) - 1 for t in chosen_toks))
+    chosen = Design(tuple(_int(t, "'chosen'", lineno) - 1 for t in chosen_toks))
     phi_final = _expect_float(lines, "phi_final")
     eig_final = _expect_float(lines, "eig_final")
     lineno, cert_toks = _expect_key(lines, "certificate")
@@ -338,12 +357,7 @@ def _parse_selection(lines, problem_hash) -> SelectionReport:
             raise ProblemFormatError(
                 f"step {s + 1} has {len(tokens)} values, expected 3", lineno
             )
-        try:
-            idx = int(tokens[0])
-        except ValueError:
-            raise ProblemFormatError(
-                f"step {s + 1}: not an index: {tokens[0]!r}", lineno
-            ) from None
+        idx = _int(tokens[0], f"step {s + 1}", lineno)
         gain, phi = _parse_floats(lineno, tokens[1:], 2, f"step {s + 1}")
         steps.append((idx - 1, gain, phi))
     return SelectionReport(
@@ -373,17 +387,17 @@ def _parse_verification(lines) -> VerificationSummary:
     violations = _expect_int(lines, "submodular_violations")
     max_breach = _expect_float(lines, "submodular_max_breach")
     lineno, err_tok = _expect_value(lines, "submodular_max_formula_err")
-    max_err = None if err_tok == "unset" else float(err_tok)
+    max_err = None if err_tok == "unset" else _float(
+        err_tok, "'submodular_max_formula_err'", lineno)
     sub = SubmodularReport(mode, checks, violations, max_breach, max_err)
     mc_samples = _expect_int(lines, "mc_samples")
-    _, design_toks = _expect_key(lines, "mc_design")
-    mc_design = tuple(int(t) - 1 for t in design_toks)
+    lineno, design_toks = _expect_key(lines, "mc_design")
+    mc_design = tuple(_int(t, "'mc_design'", lineno) - 1 for t in design_toks)
     mc_mean = _expect_float(lines, "mc_mean")
     mc_stderr = _expect_float(lines, "mc_stderr")
     mc_target = _expect_float(lines, "mc_target")
-    _, ok_tok = _expect_value(lines, "mc_ok")
-    mc_ok = ok_tok == "yes"
-    _expect_value(lines, "ok")
+    mc_ok = _expect_flag(lines, "mc_ok")
+    _expect_flag(lines, "ok")
     mc = McEigEstimate(mc_samples, mc_mean, mc_stderr, seed + 2)
     return VerificationSummary(mono, sub, mc, mc_design, mc_target, mc_ok, seed)
 

@@ -90,9 +90,8 @@ class InverseProblem:
         # per-sensor representers; columns i give s_i and st_i
         self.sensor_vecs = adjoint_forward(space, F) / sigma[None, :]
         self.precond_vecs = R @ self.sensor_vecs
-        # weighted copies M s_i, M st_i cached for inner products
+        # weighted copies M s_i cached for the posterior's inner products
         self.sensor_vecs_w = space.M @ self.sensor_vecs
-        self.precond_vecs_w = space.M @ self.precond_vecs
 
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
@@ -193,10 +192,8 @@ def hessian_misfit(p: InverseProblem, S) -> Operator:
 
 def hessian_preconditioned(p: InverseProblem, S) -> Operator:
     """Prior-preconditioned misfit Hessian Ht(S) = sum_{i in S} st_i (x) st_i."""
-    idx = validate_design(p, S)
-    cols = list(idx)
-    rep = p.precond_vecs[:, cols] @ p.precond_vecs_w[:, cols].T
-    return Operator(p.space, rep)
+    st = p.precond_vecs[:, list(validate_design(p, S))]
+    return Operator(p.space, st @ (p.space.M @ st).T)
 
 
 def posterior(p: InverseProblem, S, y) -> Posterior:

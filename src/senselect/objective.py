@@ -11,28 +11,26 @@ and the gain of v after first adding w has the closed form
     log(1 + a_vv - a_vw^2 / (1 + a_ww))
 
 evaluated with the coefficients of the unextended design, which is what
-makes one-step submodularity checks cheap.  DesignState tracks A^-1
-incrementally through rank-one updates, with a periodic dense refactor
-that bounds the accumulated drift.
+makes one-step submodularity checks cheap.
 
-SchurKernel, the selection path's gain kernel, obtains the same gains
-from an incremental Cholesky factorization of I + K, with K the Gram matrix
-of the sensor vectors: a_vv is the Schur residual of candidate v.
+SchurKernel, the gain kernel of selection and verification alike, holds
+an incremental Cholesky factorization of I + K, with K the Gram matrix of
+the sensor vectors.  By Woodbury every coefficient a_ij is a Schur entry
+of that factorization; DesignState carries the factor rows of its members.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import InverseProblem, validate_design
-from .wspace import Operator, rank1_inverse_update
-
-REFACTOR_PERIOD = 50
-REFACTOR_RESIDUAL_TOL = 1e-8
-REFACTOR_PHI_TOL = 1e-8
+from .model import InverseProblem, hessian_preconditioned, validate_design
+from .wspace import Operator
 
 
 @dataclass(frozen=True)
@@ -90,30 +88,32 @@ def eig_nats(p: InverseProblem, S) -> float:
 
 @dataclass(eq=False)
 class DesignState:
-    """A design together with the inverse of its shifted information operator.
+    """A design together with the Schur factor rows of its members.
 
-    info_inv holds (I + Ht(S))^-1; phi holds phi_eig(S).  Both are carried
-    incrementally across extend calls and refreshed by a dense refactor
-    every REFACTOR_PERIOD updates, where the incremental values are checked
-    against the dense ones before being replaced.
+    phi holds phi_eig(S).  kernel holds one factor row per member, in the
+    order the members were added; extend returns a new state and leaves
+    this one untouched.
     """
 
     problem: InverseProblem
     design: Design
-    info_inv: Operator
     phi: float
-    updates_since_refactor: int = 0
+    kernel: SchurKernel
+
+    @cached_property
+    def info_inv(self) -> Operator:
+        """(I + Ht(S))^-1, formed densely from the design on first read."""
+        A = np.eye(self.problem.n) + hessian_preconditioned(self.problem, self.design).rep
+        return Operator(self.problem.space, np.linalg.inv(A))
 
 
 def design_state(p: InverseProblem, S=()) -> DesignState:
     idx = validate_design(p, S)
-    if idx:
-        cols = list(idx)
-        A = np.eye(p.n) + p.precond_vecs[:, cols] @ p.precond_vecs_w[:, cols].T
-        inv = np.linalg.inv(A)
-    else:
-        inv = np.eye(p.n)
-    return DesignState(p, Design(idx), Operator(p.space, inv), phi_eig(p, idx))
+    kern = SchurKernel(p, len(idx))
+    for i in idx:
+        j = bisect.bisect_left(p.active, i)
+        kern.add(j, kern.entry(j, j))
+    return DesignState(p, Design(idx), phi_eig(p, idx), kern)
 
 
 def _check_candidate(p: InverseProblem, i: int) -> int:
@@ -126,17 +126,18 @@ def _check_candidate(p: InverseProblem, i: int) -> int:
 def overlap(state: DesignState, i, j) -> float:
     """Coefficient a_ij = <A^-1 st_i, st_j> of the current design.
 
-    Drives both the marginal gain (diagonal) and the conditioned gain
-    (off-diagonal).  Only active candidates have these vectors; inactive
-    indices are rejected.
+    By Woodbury this is the Schur entry K_ij - sum_s e_s[i] e_s[j] of the
+    state's factor rows.  Drives both the marginal gain (diagonal) and the
+    conditioned gain (off-diagonal).  Only active candidates have sensor
+    vectors; inactive indices are rejected.
     """
     p = state.problem
     i = _check_candidate(p, i)
     j = _check_candidate(p, j)
     if i not in p.active_set or j not in p.active_set:
         raise ValueError("overlap is undefined for inactive candidates")
-    x = state.info_inv.rep @ p.precond_vecs[:, i]
-    return float(x @ p.precond_vecs_w[:, j])
+    pos = bisect.bisect_left
+    return state.kernel.entry(pos(p.active, i), pos(p.active, j))
 
 
 def marginal_gain(state: DesignState, v) -> float:
@@ -179,12 +180,11 @@ def marginal_gain_conditioned(state: DesignState, v, w) -> float:
 
 
 def extend(state: DesignState, v) -> DesignState:
-    """New state with v added, via a rank-one update of the inverse.
+    """New state with v added, through the same SchurKernel.add as greedy.
 
-    The determinant lemma gives the phi increment log(1 + a_vv); the
-    Sherman-Morrison update gives the new inverse.  In this positive
-    semidefinite setting the update denominator 1 + a_vv is at least 1,
-    so the update never degenerates.
+    The determinant lemma gives the phi increment log(1 + a_vv), and a_vv
+    is the Schur residual of v.  The new state copies the factor rows, so
+    the state extended stays valid.
     """
     p = state.problem
     v = _check_candidate(p, v)
@@ -192,30 +192,12 @@ def extend(state: DesignState, v) -> DesignState:
         raise ValueError(f"candidate {v} is inactive and cannot be selected")
     if v in state.design:
         raise ValueError(f"candidate {v} is already in the design")
-    a_vv = overlap(state, v, v)
-    st_v = p.precond_vecs[:, v]
-    new_inv = rank1_inverse_update(state.info_inv, st_v, st_v)
-    new_phi = state.phi + math.log1p(a_vv)
-    new_design = Design(state.design.indices + (v,))
-    count = state.updates_since_refactor + 1
-    if count >= REFACTOR_PERIOD:
-        return _refactor(p, new_design, new_inv, new_phi)
-    return DesignState(p, new_design, new_inv, new_phi, count)
-
-
-def _refactor(p: InverseProblem, design: Design, inv: Operator, phi: float) -> DesignState:
-    """Dense rebuild of the inverse and phi, verifying the drifted values."""
-    cols = list(design.indices)
-    A = np.eye(p.n) + p.precond_vecs[:, cols] @ p.precond_vecs_w[:, cols].T
-    resid = float(np.abs(inv.rep @ A - np.eye(p.n)).max())
-    if resid > REFACTOR_RESIDUAL_TOL:
-        raise RuntimeError(f"incremental inverse drifted: residual {resid:.3e}")
-    fresh = design_state(p, design)
-    if abs(phi - fresh.phi) > REFACTOR_PHI_TOL * max(1.0, abs(fresh.phi)):
-        raise RuntimeError(
-            f"incremental objective drifted: {phi!r} vs dense {fresh.phi!r}"
-        )
-    return fresh
+    kern = copy.copy(state.kernel)  # shares the whitened vectors and diagonal
+    kern.rows = np.concatenate((kern.rows[:kern.t], np.empty((1, kern.rows.shape[1]))))
+    j = bisect.bisect_left(p.active, v)
+    r = kern.entry(j, j)
+    kern.add(j, r)
+    return DesignState(p, Design(state.design.indices + (v,)), state.phi + math.log1p(r), kern)
 
 
 class SchurKernel:
@@ -262,6 +244,16 @@ class SchurKernel:
         self.rows[t] = e
         self.t = t + 1
         return e
+
+    def entry(self, i: int, j: int) -> float:
+        """Schur entry K_ij - sum_s e_s[i] e_s[j] of positions i and j.
+
+        On the diagonal this is the residual, in catch_up's operation order.
+        """
+        if i == j:
+            return self.catch_up(float(self.diag[j]), j, 0)
+        rows = self.rows[:self.t]
+        return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
 
     def catch_up(self, r: float, j: int, since: int) -> float:
         """Residual r of position j, computed after `since` rows, brought up to date."""

@@ -5,9 +5,28 @@ the package's incremental code paths, so a defect cannot hide on both
 sides of a comparison.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 
 import senselect as ss
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants scraped from the sources under ./.hypothesis
+    # while collecting; a temporary home keeps the checkout clean.
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:  # only the property tests need it, and they say so
+        return
+    config.hypothesis_home = tempfile.mkdtemp(prefix="senselect-hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    if hasattr(config, "hypothesis_home"):
+        shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def maxabs(a) -> float:

@@ -139,7 +139,7 @@ def test_criterion_05_incremental_update_fidelity():
         dense = ss.phi_eig(p, state.design)
         assert abs(state.phi - dense) <= 1e-8 * max(1.0, abs(dense))
         cols = list(state.design)
-        a = np.eye(15) + p.precond_vecs[:, cols] @ p.precond_vecs_w[:, cols].T
+        a = np.eye(15) + p.precond_vecs[:, cols] @ (p.space.M @ p.precond_vecs[:, cols]).T
         resid = float(np.abs(state.info_inv.rep @ a - np.eye(15)).max())
         assert resid <= 1e-8
     elapsed = time.perf_counter() - t0

@@ -84,6 +84,41 @@ def test_eval_malformed_matrix_row_exits_2(tmp_path, capsys):
     assert "error:" in err and "line 7" in err
 
 
+DENSE_2 = """\
+schema_version 1
+n 2
+n_s 2
+M dense
+1 0
+0 1
+Gamma_pr dense
+1 0
+0 1
+F dense
+1 0
+0 1
+sigma
+1 1
+m_pr
+0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [(5, "inf"), (9, "nan"), (12, "NaN"), (14, "-inf"), (16, "nan")],
+    ids=["M", "Gamma_pr", "F", "sigma", "m_pr"],
+)
+def test_eval_non_finite_problem_value_exits_2(tmp_path, capsys, line, value):
+    rows = DENSE_2.splitlines()
+    rows[line - 1] = rows[line - 1].split()[0] + " " + value
+    path = write(tmp_path, "bad.txt", "\n".join(rows) + "\n")
+    assert main(["eval", path, "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: line {line}:" in err
+    assert "value 2: not finite" in err
+
+
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.txt"), "1"]) == 2
 
@@ -118,6 +153,13 @@ def test_greedy_k0_empty(pair_file, capsys):
 
 def test_greedy_k_too_large_exits_3(pair_file, capsys):
     assert main(["greedy", pair_file, "4"]) == 3
+
+
+def test_greedy_gain_guard_exits_5(identity_file, monkeypatch, capsys):
+    # equal gains log 2 now count as rising; the guard raises RuntimeError
+    monkeypatch.setattr(ss.selection, "GAIN_MONOTONE_TOL", -1.0)
+    assert main(["greedy", identity_file, "2"]) == 5
+    assert "error: greedy gains increased" in capsys.readouterr().err
 
 
 def test_greedy_lazy_report_differs_only_in_method(pair_file, tmp_path, capsys):

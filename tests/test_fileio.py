@@ -227,3 +227,34 @@ def test_report_parse_rejects_malformed_step():
     broken = text.replace("steps 2", "steps 3")
     with pytest.raises(fileio.ProblemFormatError):
         fileio.parse_report_text(broken)
+
+
+def _selection_text():
+    return fileio.report_text(ss.greedy(three_sensor_problem(), 2))
+
+
+def _verification_text():
+    p = ss.generate(ss.ProblemSpec("chain", n=8, n_s=3, seed=0))
+    summary = ss.verification_run(p, trials=10, samples=50, seed=0)
+    return fileio.report_text(summary, problem_hash=p.content_hash())
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (_selection_text, "seed x"),
+        (_selection_text, "chosen 1 x"),
+        (_verification_text, "submodular_max_formula_err x"),
+        (_verification_text, "mc_design 1 y"),
+        (_verification_text, "mc_ok maybe"),
+        (_verification_text, "ok maybe"),
+    ],
+)
+def test_report_parse_rejects_malformed_field(make, bad):
+    rows = make().splitlines()
+    key = bad.split()[0]
+    lineno = next(i for i, row in enumerate(rows, start=1) if row.split()[0] == key)
+    rows[lineno - 1] = bad
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.parse_report_text("\n".join(rows) + "\n")
+    assert exc.value.line == lineno

@@ -244,7 +244,8 @@ def test_extend_twenty_steps_stays_faithful():
         st = ss.extend(st, int(v))
     dense = ss.phi_eig(p, st.design)
     assert abs(st.phi - dense) <= 1e-8 * max(1.0, abs(dense))
-    a = np.eye(15) + p.precond_vecs[:, list(st.design)] @ p.precond_vecs_w[:, list(st.design)].T
+    cols = list(st.design)
+    a = np.eye(15) + p.precond_vecs[:, cols] @ (p.space.M @ p.precond_vecs[:, cols]).T
     assert maxabs(st.info_inv.rep @ a - np.eye(15)) <= 1e-8
 
 
@@ -268,17 +269,59 @@ def test_design_state_accepts_starting_subset():
 
 
 def test_refactor_counter_resets_and_value_survives():
+    # 52 extends with k > n = 8: the saturated regime of the Schur factor
     rng = np.random.default_rng(49)
     p = random_problem(rng, 8, 60)
     st = ss.design_state(p)
-    for i, v in enumerate(rng.permutation(60)[:52]):
+    for v in rng.permutation(60)[:52]:
         st = ss.extend(st, int(v))
-        if i < 49:
-            assert st.updates_since_refactor == i + 1
-    # period is 50: the 50th update triggered a dense rebuild
-    assert st.updates_since_refactor == 2
     dense = ss.phi_eig(p, st.design)
     assert abs(st.phi - dense) <= 1e-8 * max(1.0, abs(dense))
+
+
+def test_overlap_matches_dense_inverse_after_twenty_extends():
+    """Schur entries against <A^-1 st_i, st_j>_M from the dense inverse.
+
+    k = 20 > n = 6, M is not the identity, and sensor 7 is inactive.  The
+    tolerance bounds both sides' rounding: the dense inverse errs by about
+    n eps kappa(A) |A^-1| relative to |st_i| |M st_j|, and the Schur entry
+    by about (n + k) eps (1 + max K_vv).
+    """
+    rng = np.random.default_rng(52)
+    n, n_s, dead = 6, 30, 7
+    q = random_problem(rng, n, n_s, cond=1e3)
+    f = q.F.copy()
+    f[dead] = 0.0
+    p = ss.build_problem(q.space, f, q.sigma, q.m_pr, q.gamma_pr.rep)
+    assert dead not in p.active
+    st = ss.design_state(p)
+    for v in rng.permutation(p.active)[:20]:
+        st = ss.extend(st, int(v))
+    st_vecs, m_st = p.precond_vecs, p.space.M @ p.precond_vecs
+    a_inv = st.info_inv.rep
+    a = np.eye(n) + ss.hessian_preconditioned(p, st.design).rep
+    w = p.space.whitening_factor.T @ st_vecs
+    k_max = float(np.max(np.sum(w * w, axis=0)))
+    eps = np.finfo(float).eps
+    scale = np.linalg.cond(a) * np.linalg.norm(a_inv, 2)
+    for i in p.active:
+        for j in p.active:
+            want = float((a_inv @ st_vecs[:, i]) @ m_st[:, j])
+            tol = (n + 20) * eps * (
+                scale * np.linalg.norm(st_vecs[:, i]) * np.linalg.norm(m_st[:, j]) + 1.0 + k_max
+            )
+            assert abs(ss.overlap(st, i, j) - want) <= tol
+    with pytest.raises(ValueError):
+        ss.overlap(st, dead, p.active[0])
+
+    rest = [v for v in p.active if v not in st.design]
+    before = [ss.marginal_gain(st, v) for v in rest]
+    child = ss.extend(st, rest[0])
+    child_gains = [ss.marginal_gain(child, v) for v in rest[2:]]
+    ss.extend(st, rest[1])
+    assert [ss.marginal_gain(st, v) for v in rest] == before
+    assert [ss.marginal_gain(child, v) for v in rest[2:]] == child_gains
+    assert len(st.design) == 20
 
 
 def test_argmax_invariant_under_half_scaling():
