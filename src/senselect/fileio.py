@@ -115,6 +115,14 @@ def _int(tok: str, what: str, lineno: int) -> int:
         raise ProblemFormatError(f"{what}: not an integer: {tok!r}", lineno) from None
 
 
+def _indices(toks, what: str, lineno: int) -> tuple[int, ...]:
+    """Distinct 1-based sensor indices from a report line, made 0-based."""
+    idx = tuple(_int(t, what, lineno) - 1 for t in toks)
+    if min(idx, default=0) < 0 or len(set(idx)) != len(idx):
+        raise ProblemFormatError(f"{what}: indices must be distinct and at least 1", lineno)
+    return idx
+
+
 def _expect_key(lines: _Lines, key: str):
     lineno, tokens = lines.next(f"'{key}'")
     if tokens[0] != key:
@@ -178,23 +186,15 @@ def problem_text(p: InverseProblem) -> str:
     """Canonical serialization; exact identity blocks use the shorthand."""
     out = [f"schema_version {SCHEMA_VERSION}", f"n {p.n}", f"n_s {p.n_s}"]
 
-    def matrix(key, A):
+    def row(values):
+        return " ".join(_fmt(x) for x in values)
+
+    for key, A in (("M", p.space.M), ("Gamma_pr", p.gamma_pr.rep)):
         if np.array_equal(A, np.eye(A.shape[0])):
             out.append(f"{key} identity")
         else:
-            out.append(f"{key} dense")
-            for row in A:
-                out.append(" ".join(_fmt(x) for x in row))
-
-    matrix("M", p.space.M)
-    matrix("Gamma_pr", p.gamma_pr.rep)
-    out.append("F dense")
-    for row in p.F:
-        out.append(" ".join(_fmt(x) for x in row))
-    out.append("sigma")
-    out.append(" ".join(_fmt(x) for x in p.sigma))
-    out.append("m_pr")
-    out.append(" ".join(_fmt(x) for x in p.m_pr))
+            out += [f"{key} dense", *map(row, A)]
+    out += ["F dense", *map(row, p.F), "sigma", row(p.sigma), "m_pr", row(p.m_pr)]
     return "\n".join(out) + "\n"
 
 
@@ -338,7 +338,7 @@ def _parse_selection(lines, problem_hash) -> SelectionReport:
     seed = None if seed_tok == "unset" else _int(seed_tok, "'seed'", lineno)
     k = _expect_int(lines, "k")
     lineno, chosen_toks = _expect_key(lines, "chosen")
-    chosen = Design(tuple(_int(t, "'chosen'", lineno) - 1 for t in chosen_toks))
+    chosen = Design(_indices(chosen_toks, "'chosen'", lineno))
     phi_final = _expect_float(lines, "phi_final")
     eig_final = _expect_float(lines, "eig_final")
     lineno, cert_toks = _expect_key(lines, "certificate")
@@ -357,9 +357,9 @@ def _parse_selection(lines, problem_hash) -> SelectionReport:
             raise ProblemFormatError(
                 f"step {s + 1} has {len(tokens)} values, expected 3", lineno
             )
-        idx = _int(tokens[0], f"step {s + 1}", lineno)
+        (idx,) = _indices(tokens[:1], f"step {s + 1}", lineno)
         gain, phi = _parse_floats(lineno, tokens[1:], 2, f"step {s + 1}")
-        steps.append((idx - 1, gain, phi))
+        steps.append((idx, gain, phi))
     return SelectionReport(
         method=method,
         chosen=chosen,
@@ -392,7 +392,7 @@ def _parse_verification(lines) -> VerificationSummary:
     sub = SubmodularReport(mode, checks, violations, max_breach, max_err)
     mc_samples = _expect_int(lines, "mc_samples")
     lineno, design_toks = _expect_key(lines, "mc_design")
-    mc_design = tuple(_int(t, "'mc_design'", lineno) - 1 for t in design_toks)
+    mc_design = _indices(design_toks, "'mc_design'", lineno)
     mc_mean = _expect_float(lines, "mc_mean")
     mc_stderr = _expect_float(lines, "mc_stderr")
     mc_target = _expect_float(lines, "mc_target")

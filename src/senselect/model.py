@@ -90,8 +90,6 @@ class InverseProblem:
         # per-sensor representers; columns i give s_i and st_i
         self.sensor_vecs = adjoint_forward(space, F) / sigma[None, :]
         self.precond_vecs = R @ self.sensor_vecs
-        # weighted copies M s_i cached for the posterior's inner products
-        self.sensor_vecs_w = space.M @ self.sensor_vecs
 
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
@@ -184,10 +182,8 @@ class Posterior:
 
 def hessian_misfit(p: InverseProblem, S) -> Operator:
     """Data-misfit Hessian H(S) = sum_{i in S} s_i (x) s_i."""
-    idx = validate_design(p, S)
-    cols = list(idx)
-    rep = p.sensor_vecs[:, cols] @ p.sensor_vecs_w[:, cols].T
-    return Operator(p.space, rep)
+    s = p.sensor_vecs[:, list(validate_design(p, S))]
+    return Operator(p.space, s @ (p.space.M @ s).T)
 
 
 def hessian_preconditioned(p: InverseProblem, S) -> Operator:
@@ -200,18 +196,21 @@ def posterior(p: InverseProblem, S, y) -> Posterior:
     """Posterior mean and covariance for data y observed at the sensors in S.
 
     y must hold one entry per selected sensor, ordered by ascending sensor
-    index.  An empty design returns the prior unchanged.
+    index.  A 2-D y holds one data set per row; the mean then has one row
+    per data set, and all of them share the one covariance.  An empty
+    design returns the prior unchanged.
     """
     idx = validate_design(p, S)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (len(idx),):
-        raise ValueError(f"expected {len(idx)} data values, got {y.shape[0]}")
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        y = y.reshape(-1)
+    if y.shape[-1] != len(idx):
+        raise ValueError(f"expected {len(idx)} data values, got {y.shape[-1]}")
     if not idx:
-        return Posterior(p.m_pr.copy(), Operator(p.space, p.gamma_pr.rep.copy()))
+        mean = np.broadcast_to(p.m_pr, y.shape[:-1] + (p.n,)).copy()
+        return Posterior(mean, Operator(p.space, p.gamma_pr.rep.copy()))
     cols = list(idx)
-    F_S = p.F[cols, :]
-    sig2 = p.sigma[cols] ** 2
-    H_rep = p.sensor_vecs[:, cols] @ p.sensor_vecs_w[:, cols].T
-    cov_rep = np.linalg.inv(H_rep + p.gamma_pr_inv.rep)
-    rhs = p.space.solve(F_S.T @ (y / sig2)) + p.gamma_pr_inv.rep @ p.m_pr
-    return Posterior(cov_rep @ rhs, Operator(p.space, cov_rep))
+    cov_rep = np.linalg.inv(hessian_misfit(p, idx).rep + p.gamma_pr_inv.rep)
+    fty = (y / p.sigma[cols] ** 2) @ p.F[cols, :]  # rows F_S' Gn^-1 y
+    rhs = p.space.solve(fty.T).T + p.gamma_pr_inv.rep @ p.m_pr
+    return Posterior(rhs @ cov_rep.T, Operator(p.space, cov_rep))

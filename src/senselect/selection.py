@@ -197,7 +197,7 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
         val = objective.phi_eig(p, combo)
         if val > best_phi:
             best, best_phi = combo, val
-    steps, _ = _ascending_trace(p, best)
+    steps = _ascending_trace(p, best)
     return _finish("exhaustive", p, Design(best), steps, k, t0)
 
 
@@ -207,7 +207,7 @@ def random_baseline(p: InverseProblem, k: int, seed: int) -> SelectionReport:
     k = _check_budget(p, k)
     rng = np.random.default_rng(seed)
     pick = np.sort(rng.choice(np.asarray(p.active), size=k, replace=False))
-    steps, _ = _ascending_trace(p, tuple(int(i) for i in pick))
+    steps = _ascending_trace(p, pick)
     return _finish("random", p, Design(pick), steps, k, t0, seed=int(seed))
 
 
@@ -240,14 +240,9 @@ def certify_bound(
 
 def _ascending_trace(p: InverseProblem, chosen):
     """Per-step trace of a fixed design, added in ascending index order."""
-    steps = []
-    prev = 0.0
     idx = tuple(sorted(int(i) for i in chosen))
-    for t in range(len(idx)):
-        val = objective.phi_eig(p, idx[: t + 1])
-        steps.append((idx[t], val - prev, val))
-        prev = val
-    return steps, prev
+    phi = [0.0] + [objective.phi_eig(p, idx[: t + 1]) for t in range(len(idx))]
+    return [(i, phi[t + 1] - phi[t], phi[t + 1]) for t, i in enumerate(idx)]
 
 
 def _finish(method, p, design, steps, k, t0, seed=None, gain_evals=None) -> SelectionReport:

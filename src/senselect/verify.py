@@ -24,9 +24,12 @@ GAIN_FLOOR = 1e-14
 FORMULA_TOL = 1e-9
 SUBMODULAR_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 10
+# mc_eig maps its draws to data and divergences this many samples at a
+# time, so that only the standard normal draws are held in full
+_MC_BLOCK = 1000
 
 
-def kl_gaussian(p: InverseProblem, post: Posterior) -> float:
+def kl_gaussian(p: InverseProblem, post: Posterior):
     """KL divergence from a Gaussian posterior to the prior of p.
 
     Evaluated in the weighted space:
@@ -35,17 +38,20 @@ def kl_gaussian(p: InverseProblem, post: Posterior) -> float:
               + log det Gpr - log det Gpost ]
 
     Every term is invariant under a change of coordinates, so plain matrix
-    representations can be used throughout.
+    representations can be used throughout.  A posterior with one mean row
+    per data set (see posterior) gives one divergence per row; the trace
+    and the log determinant are shared by all of them.
     """
     G_inv = p.gamma_pr_inv.rep
     C = post.cov.rep
     tr = float(np.einsum("ij,ji->", G_inv, C))
     d = post.mean - p.m_pr
-    quad = float((G_inv @ d) @ (p.space.M @ d))
+    quad = np.sum((d @ G_inv.T) * (d @ p.space.M), axis=-1)
     sign, logdet_post = np.linalg.slogdet(C)
     if sign <= 0:
         raise ValueError("posterior covariance has nonpositive determinant")
-    return 0.5 * (tr - p.n + quad + p.gamma_pr_logdet - float(logdet_post))
+    kl = 0.5 * (tr - p.n + quad + p.gamma_pr_logdet - float(logdet_post))
+    return float(kl) if kl.ndim == 0 else kl
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,9 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     z standard normal, R the prior square root, and L the whitening factor
     of the space), simulate data y ~ N(F(S) m, Gn(S)), then average
     kl_gaussian of the resulting posterior.  All parameter draws happen
-    before all noise draws, which pins the stream for a given seed.
+    before all noise draws, which pins the stream for a given seed.  The
+    samples go through posterior and kl_gaussian as rows of one data
+    matrix, a block at a time, since the covariance does not depend on y.
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.
@@ -76,18 +84,17 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
-    n, q = p.n, len(idx)
-    cols = list(idx)
-    Z = rng.standard_normal((n, n_samples))
-    E = rng.standard_normal((q, n_samples))
+    Z = rng.standard_normal((p.n, n_samples))
+    E = rng.standard_normal((len(idx), n_samples))
     L = p.space.whitening_factor
-    draws = p.m_pr[:, None] + p.gamma_pr_sqrt.rep @ solve_triangular(
-        L, Z, lower=True, trans=1
-    )
-    Y = p.F[cols, :] @ draws + p.sigma[cols, None] * E
-    kls = np.empty(n_samples)
-    for s in range(n_samples):
-        kls[s] = kl_gaussian(p, posterior(p, idx, Y[:, s]))
+    F_S, sigma = p.F[list(idx), :], p.sigma[list(idx), None]
+
+    def kl_block(b):
+        x = solve_triangular(L, Z[:, b:b + _MC_BLOCK], lower=True, trans=1)
+        Y = F_S @ (p.m_pr[:, None] + p.gamma_pr_sqrt.rep @ x) + sigma * E[:, b:b + _MC_BLOCK]
+        return kl_gaussian(p, posterior(p, idx, Y.T))
+
+    kls = np.concatenate([kl_block(b) for b in range(0, n_samples, _MC_BLOCK)])
     mean = float(np.mean(kls))
     stderr = float(np.std(kls, ddof=1) / math.sqrt(n_samples))
     return McEigEstimate(n_samples, mean, stderr, seed)

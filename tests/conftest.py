@@ -97,6 +97,27 @@ def misfit_rep(p, subset):
     return np.linalg.solve(p.space.M, fs.T @ (fs * w[:, None]))
 
 
+def posterior_mean_error_bound(p, s, post, y):
+    """Max-norm bound on the rounding error of one posterior mean row.
+
+    The row is C (M^-1 F_S' Gn^-1 y + Gpr^-1 m_pr): a product of inner
+    dimension q = |S|, a Cholesky solve with M, whose forward error
+    carries kappa(M), and a product of inner dimension n.  Gpr^-1 m_pr
+    comes from the same call however y is shaped, so two evaluations
+    share its error and it is left out.
+    """
+    n, cols = p.n, list(s)
+    inf = np.inf
+    c = post.cov.rep
+    minv = np.linalg.inv(p.space.M)
+    data = np.abs(y / p.sigma[cols] ** 2) @ np.abs(p.F[cols, :])
+    rhs = np.abs(minv) @ data + np.abs(p.gamma_pr_inv.rep @ p.m_pr)
+    solve = 3.0 * np.linalg.cond(p.space.M, inf) * np.linalg.norm(minv, inf)
+    return (n + len(cols)) * np.finfo(float).eps * (
+        np.linalg.norm(c, inf) * solve * float(np.max(data, initial=0.0))
+        + float(np.max(np.abs(c) @ rhs)))
+
+
 def logdet_oracle(p, subset) -> float:
     """log det(I + Gamma_pr H(S)) by one slogdet.
 

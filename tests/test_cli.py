@@ -260,6 +260,17 @@ def test_gen_chain_sensor_nodes_flag(tmp_path, capsys):
     assert np.array_equal(p.F[0], p.F[1])
 
 
+def test_gen_bad_sensor_node_token_exits_2(tmp_path, capsys):
+    problem = tmp_path / "x.prob"
+    code = main(
+        ["gen", "--kind", "chain", "--n", "10", "--n-s", "3", "--sensor-nodes", "4,x",
+         "--out", str(problem)]
+    )
+    assert code == 2
+    assert "error: --sensor-nodes: not an integer: 'x'" in capsys.readouterr().err
+    assert not problem.exists()
+
+
 def test_gen_invalid_chain_exits_3(tmp_path, capsys):
     code = main(
         ["gen", "--kind", "chain", "--n", "5", "--n-s", "9", "--out",

@@ -229,6 +229,15 @@ def test_report_parse_rejects_malformed_step():
         fileio.parse_report_text(broken)
 
 
+def test_report_parse_rejects_step_index_zero():
+    rows = fileio.report_text(ss.greedy(three_sensor_problem(), 2)).splitlines()
+    lineno = rows.index("steps 2") + 2
+    rows[lineno - 1] = "0 " + rows[lineno - 1].split(None, 1)[1]
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.parse_report_text("\n".join(rows) + "\n")
+    assert exc.value.line == lineno
+
+
 def _selection_text():
     return fileio.report_text(ss.greedy(three_sensor_problem(), 2))
 
@@ -248,6 +257,10 @@ def _verification_text():
         (_verification_text, "mc_design 1 y"),
         (_verification_text, "mc_ok maybe"),
         (_verification_text, "ok maybe"),
+        (_selection_text, "chosen 0 3 4"),
+        (_selection_text, "chosen 3 3"),
+        (_verification_text, "mc_design 0 0 11"),
+        (_verification_text, "mc_design 2 2"),
     ],
 )
 def test_report_parse_rejects_malformed_field(make, bad):

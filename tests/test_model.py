@@ -10,6 +10,7 @@ from conftest import (
     logdet_oracle,
     maxabs,
     misfit_rep,
+    posterior_mean_error_bound,
     random_problem,
     random_spd,
     scalar_problem,
@@ -235,8 +236,37 @@ def test_posterior_covariance_never_exceeds_prior():
 
 def test_posterior_rejects_wrong_data_length():
     p = identity_problem(3)
-    with pytest.raises(ValueError):
-        ss.posterior(p, (0, 1), np.array([1.0]))
+    for y in (np.array([1.0]), np.ones((5, 1)), np.ones((5, 3))):
+        with pytest.raises(ValueError):
+            ss.posterior(p, (0, 1), y)
+
+
+def test_posterior_rows_match_one_dimensional_calls():
+    """A 2-D y gives one mean row per data set and the one shared covariance.
+
+    The two paths evaluate the same formulas with differently shaped
+    products, so each row may differ from its 1-D call by twice the
+    rounding bound of one mean.
+    """
+    rng = np.random.default_rng(33)
+    for _ in range(15):
+        n = int(rng.integers(1, 7))
+        n_s = int(rng.integers(1, 7))
+        p = random_problem(rng, n, n_s)
+        size = int(rng.integers(0, n_s + 1))
+        s = tuple(sorted(rng.choice(n_s, size=size, replace=False).tolist()))
+        y = 3.0 * rng.standard_normal((9, size))
+        batch = ss.posterior(p, s, y)
+        assert batch.mean.shape == (9, n)
+        for row, mean in zip(y, batch.mean):
+            one = ss.posterior(p, s, row)
+            assert np.array_equal(one.cov.rep, batch.cov.rep)
+            tol = 2.0 * posterior_mean_error_bound(p, s, one, row)
+            assert maxabs(mean - one.mean) <= tol
+    p = random_problem(rng, 3, 2)
+    empty = ss.posterior(p, (), np.zeros((4, 0)))
+    assert np.array_equal(empty.mean, np.tile(p.m_pr, (4, 1)))
+    assert np.array_equal(empty.cov.rep, p.gamma_pr.rep)
 
 
 def test_posterior_cov_selfadjoint_pd():

@@ -1,4 +1,4 @@
-"""Hypothesis properties of the shared gain kernel on small random problems.
+"""Hypothesis properties of the shared gain kernel and of the file formats.
 
 Examples are derandomized and no example database is kept, so runs are
 repeatable; conftest moves Hypothesis' on-disk cache out of the checkout.
@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import senselect as ss
+from senselect import fileio
 
 from conftest import random_problem
 
@@ -50,3 +51,56 @@ def test_extend_chain_gain_equals_phi_difference(p, data):
 def test_greedy_and_lazy_greedy_per_step_bitwise_equal(p, data):
     k = data.draw(st.integers(0, len(p.active)))
     assert ss.lazy_greedy(p, k).per_step == ss.greedy(p, k).per_step
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_problem_text_round_trip(n, n_s, weighted, seed):
+    """Unweighted problems exercise the identity shorthand for M.  The hash
+    check makes the text carry every double exactly, not just consistently."""
+    p = random_problem(np.random.default_rng(seed), n, n_s, weighted=weighted)
+    text = fileio.problem_text(p)
+    q = fileio.parse_problem_text(text)
+    assert fileio.problem_text(q) == text
+    assert q.content_hash() == p.content_hash()
+
+
+numbers = st.floats(allow_nan=False)
+counts = st.integers(0, 10**6)
+sensors = st.lists(st.integers(0, 10**4), max_size=8, unique=True).map(tuple)
+hashes = st.text("0123456789abcdef", min_size=1, max_size=64)
+
+selection_reports = st.builds(
+    ss.SelectionReport,
+    method=st.sampled_from(("greedy", "lazy_greedy", "exhaustive", "random")),
+    chosen=sensors.map(ss.Design),
+    per_step=st.lists(st.tuples(st.integers(0, 10**4), numbers, numbers), max_size=8).map(tuple),
+    phi_final=numbers,
+    eig_final=numbers,
+    k=counts,
+    problem_hash=hashes,
+    seed=st.none() | counts,
+    bound_certificate=st.none() | st.builds(ss.Certificate, numbers, numbers, numbers),
+)
+
+verification_summaries = st.builds(
+    ss.VerificationSummary,
+    monotone=st.builds(ss.MonotoneReport, counts, counts, numbers, numbers),
+    submodular=st.builds(ss.SubmodularReport, st.sampled_from(("exhaustive", "random")),
+                         counts, counts, numbers, st.none() | numbers),
+    mc=st.builds(ss.McEigEstimate, counts, numbers, numbers, counts),
+    mc_design=sensors,
+    mc_target=numbers,
+    mc_ok=st.booleans(),
+    seed=counts,
+)
+
+
+@PROPERTY
+@given(selection_reports | verification_summaries, hashes)
+def test_report_text_round_trip(payload, problem_hash):
+    text = fileio.report_text(payload, problem_hash, timestamp="unset")
+    parsed = fileio.parse_report_text(text)
+    again = fileio.report_text(parsed.payload, parsed.problem_hash,
+                               tool_version=parsed.tool_version, timestamp=parsed.timestamp)
+    assert again == text

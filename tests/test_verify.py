@@ -7,7 +7,13 @@ import pytest
 
 import senselect as ss
 
-from conftest import identity_problem, maxabs, random_problem, scalar_problem
+from conftest import (
+    identity_problem,
+    maxabs,
+    posterior_mean_error_bound,
+    random_problem,
+    scalar_problem,
+)
 
 
 def test_kl_of_prior_against_itself_is_zero():
@@ -108,6 +114,71 @@ def test_mc_deterministic_per_seed():
     c = ss.mc_eig(p, (0,), n_samples=500, seed=8)
     assert (a.mean_kl, a.std_error) == (b.mean_kl, b.std_error)
     assert a.mean_kl != c.mean_kl
+
+
+def test_mc_matches_per_sample_reference():
+    """mc_eig agrees with a loop of kl_gaussian(p, posterior(p, S, y_s)).
+
+    The loop draws the same Z, then E.  Both sides share the covariance,
+    its trace and its log determinant bit for bit, so per sample only the
+    data y, the mean and the quadratic term <Gpr^-1 d, d> (B = M Gpr^-1,
+    d = mean - m_pr) may round differently:
+      - y: a triangular solve with L (kappa(L)) and two products of inner
+        dimension at most n;
+      - the mean: the error of y through C M^-1 F_S' Gn^-1, plus its own
+        rounding (posterior_mean_error_bound);
+      - the quadratic term: 2 |delta d| ||B d||_1 to first order, plus two
+        products of inner dimension n;
+      - the divergence: half the quadratic term's error, plus the sum of
+        its five terms.
+    The averages differ by the largest per-sample difference plus the
+    rounding of numpy's pairwise sums.
+    """
+    eps = np.finfo(float).eps
+    inf = np.inf
+    rng = np.random.default_rng(91)
+    for n, n_s, s, n_samples, seed in ((5, 6, (0, 2, 3, 5), 2500, 7), (3, 7, (1, 4), 1203, 8)):
+        p = random_problem(rng, n, n_s)
+        cols = list(s)
+        est = ss.mc_eig(p, s, n_samples=n_samples, seed=seed)
+
+        draw = np.random.default_rng(seed)
+        Z = draw.standard_normal((n, n_samples))
+        E = draw.standard_normal((len(s), n_samples))
+        L = p.space.whitening_factor
+        X = np.linalg.solve(L.T, Z)
+        m = p.m_pr[:, None] + p.gamma_pr_sqrt.rep @ X
+        F_S = p.F[cols, :]
+        Y = F_S @ m + p.sigma[cols, None] * E
+        y_abs = np.abs(F_S) @ (np.abs(p.m_pr)[:, None] + np.abs(p.gamma_pr_sqrt.rep) @ np.abs(X))
+        y_err = 3.0 * (n + 1) * eps * np.linalg.cond(L, inf) * (
+            y_abs + np.abs(p.sigma[cols, None] * E)).max(axis=0)
+
+        G_inv, M = p.gamma_pr_inv.rep, p.space.M
+        B = M @ G_inv
+        kls, bounds = np.empty(n_samples), np.empty(n_samples)
+        for i in range(n_samples):
+            post = ss.posterior(p, s, Y[:, i])
+            kls[i] = ss.kl_gaussian(p, post)
+            C = post.cov.rep
+            to_mean = C @ np.linalg.solve(M, F_S.T / p.sigma[cols] ** 2)
+            dd = (2.0 * posterior_mean_error_bound(p, s, post, Y[:, i])
+                  + 2.0 * np.linalg.norm(to_mean, inf) * y_err[i])
+            d = post.mean - p.m_pr
+            quad_abs = float((np.abs(G_inv) @ np.abs(d)) @ (np.abs(M) @ np.abs(d)))
+            d_quad = (dd * 2.0 * np.abs(B @ d).sum() + dd * dd * np.abs(B).sum()
+                      + 4.0 * (n + 1) * eps * quad_abs)
+            terms = (abs(np.trace(G_inv @ C)) + n + quad_abs + abs(p.gamma_pr_logdet)
+                     + abs(np.linalg.slogdet(C)[1]))
+            bounds[i] = 0.5 * d_quad + 4.0 * eps * terms
+
+        sums = 2.0 * (math.log2(n_samples) + 10) * eps
+        mean = float(np.mean(kls))
+        std = float(np.std(kls, ddof=1))
+        assert abs(est.mean_kl - mean) <= bounds.max() + sums * float(np.mean(np.abs(kls)))
+        tol_std = (bounds.max() * math.sqrt(n_samples / (n_samples - 1)) + sums * std)
+        assert abs(est.std_error - std / math.sqrt(n_samples)) <= tol_std / math.sqrt(n_samples)
+        assert est.n_samples == n_samples and est.seed == seed
 
 
 def test_mc_stderr_concentration():
