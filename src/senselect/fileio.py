@@ -135,6 +135,15 @@ def _expect_int(lines: _Lines, key: str) -> int:
     return _int(val, f"'{key}'", lineno)
 
 
+def _expect_count(lines: _Lines, key: str) -> tuple[int, int]:
+    """Line number and value of a positive integer field."""
+    lineno, val = _expect_value(lines, key)
+    count = _int(val, f"'{key}'", lineno)
+    if count < 1:
+        raise ProblemFormatError(f"{key} must be positive, got {count}", lineno)
+    return lineno, count
+
+
 def _read_matrix(lines: _Lines, key: str, rows: int, cols: int, allow_identity: bool):
     lineno, rest = _expect_key(lines, key)
     forms = ("identity", "dense") if allow_identity else ("dense",)
@@ -160,12 +169,18 @@ def parse_problem_text(text: str) -> InverseProblem:
     lineno, rest = _expect_key(lines, "schema_version")
     if rest != [SCHEMA_VERSION]:
         raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
-    n = _expect_int(lines, "n")
-    n_s = _expect_int(lines, "n_s")
-    if n < 1:
-        raise ProblemFormatError(f"n must be positive, got {n}")
-    if n_s < 1:
-        raise ProblemFormatError(f"n_s must be positive, got {n_s}")
+    n_line, n = _expect_count(lines, "n")
+    n_s_line, n_s = _expect_count(lines, "n_s")
+    # Sizes the rest of the file cannot hold are refused before anything
+    # is allocated from them: F needs n_s lines, and its rows n values.
+    rest = lines.rows[lines.pos:]
+    width = max((len(tokens) for _, tokens in rest), default=0)
+    if n > width:
+        raise ProblemFormatError(
+            f"n = {n} exceeds the {width} values of the longest line below", n_line)
+    if n_s > len(rest):
+        raise ProblemFormatError(
+            f"n_s = {n_s} exceeds the {len(rest)} lines below", n_s_line)
     M = _read_matrix(lines, "M", n, n, allow_identity=True)
     gamma = _read_matrix(lines, "Gamma_pr", n, n, allow_identity=True)
     F = _read_matrix(lines, "F", n_s, n, allow_identity=False)

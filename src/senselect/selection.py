@@ -3,16 +3,21 @@
 greedy picks the largest marginal gain k times; lazy_greedy reproduces the
 same selections while skipping most gain evaluations by keeping stale
 upper bounds in a heap (valid because gains only shrink as the design
-grows).  Both score candidates with objective.SchurKernel.  exhaustive
-enumerates every size-k subset under a configurable cap, and
-certify_bound attaches the (1 - 1/e) optimality certificate that
-monotonicity plus submodularity guarantee for the greedy value.
+grows).  exhaustive finds the optimum over every size-k subset, under a
+configurable cap, by a depth-first search in lexicographic order: a node
+holds the Schur residuals of its prefix, so each prefix costs one factor
+row, shared by all of its extensions.  All three run on
+objective.SchurKernel.  Designs whose kernel value lies within TIE_RTOL
+of the best, the steps of greedy and the subsets of exhaustive alike,
+are re-scored by phi_eig, and exact ties go to the lexicographically
+smallest design.  certify_bound attaches the (1 - 1/e) optimality
+certificate that monotonicity plus submodularity guarantee for the
+greedy value.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -26,9 +31,10 @@ from .objective import Design
 EXHAUSTIVE_CAP = 2_000_000
 GAIN_MONOTONE_TOL = 1e-9
 # Greedy candidates whose Schur residual, and hence gain, lies within this
-# relative distance of the best are re-scored by phi_eig.  Mirror-symmetric
-# designs tie in exact arithmetic; without the re-score rounding noise
-# of the kernel would decide which one comes first.
+# relative distance of the best, and exhaustive subsets whose kernel phi
+# does, are re-scored by phi_eig.  Mirror-symmetric designs tie in exact
+# arithmetic; without the re-score rounding noise of the kernel would
+# decide which one comes first.
 TIE_RTOL = 1e-10
 CERTIFICATE_SLACK = 1e-12
 GUARANTEE_FLOOR = 1.0 - 1.0 / math.e
@@ -95,17 +101,22 @@ def _step_checks(gain: float, prev_gain: float) -> None:
         )
 
 
-def _break_tie(p: InverseProblem, steps, near: list[int], active) -> int:
-    """The near-tied position whose design phi_eig scores highest.
+def _break_tie(p: InverseProblem, designs: list) -> int:
+    """Index of the design that phi_eig scores highest.
 
-    near holds positions in ascending order, so exact ties of phi_eig go
-    to the lowest index.
+    designs come in lexicographic order, so exact ties of phi_eig go to
+    the lexicographically smallest design.
     """
-    if len(near) == 1:
-        return near[0]
+    if len(designs) == 1:
+        return 0
+    vals = [objective.phi_eig(p, d) for d in designs]
+    return vals.index(max(vals))
+
+
+def _extensions(steps, near: list[int], active) -> list[list[int]]:
+    """The designs of steps plus each near-tied position, in the order of near."""
     base = [i for i, _, _ in steps]
-    vals = [objective.phi_eig(p, base + [active[j]]) for j in near]
-    return near[vals.index(max(vals))]
+    return [base + [active[j]] for j in near]
 
 
 def _take(kern: objective.SchurKernel, steps: list, j: int, r: float) -> np.ndarray:
@@ -132,7 +143,7 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
     for t in range(k):
         evals += r.size - t
         near = np.flatnonzero(r >= (1.0 - TIE_RTOL) * r.max()).tolist()
-        j = _break_tie(p, steps, near, kern.active)
+        j = near[_break_tie(p, _extensions(steps, near, kern.active))]
         e = _take(kern, steps, j, float(r[j]))
         r -= e * e
         r[j] = -math.inf  # selected: never near the maximum again
@@ -168,7 +179,8 @@ def lazy_greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
             if floor is None:  # the first fresh entry holds the maximum
                 floor = (1.0 - TIE_RTOL) * -neg
             near[j] = -neg
-        j = _break_tie(p, steps, sorted(near), kern.active)
+        order = sorted(near)
+        j = order[_break_tie(p, _extensions(steps, order, kern.active))]
         r = near.pop(j)
         for v, r_v in near.items():
             heapq.heappush(heap, (-r_v, v, t))
@@ -181,9 +193,11 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
     """Exact optimum over all size-k subsets of the active candidates.
 
     Strict monotonicity means nothing smaller than size k can win, so only
-    size-k subsets are enumerated, in lexicographic order; keeping strict
-    improvements makes the reported optimum the lexicographically smallest
-    maximizer.
+    size-k subsets are searched, depth first in lexicographic order (see
+    _near_optimal).  The subsets whose kernel phi lies within a relative
+    TIE_RTOL of the best are re-scored by phi_eig in that order, keeping
+    strict improvements, so the reported optimum is the lexicographically
+    smallest maximizer of phi_eig.
     """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
@@ -192,13 +206,55 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
         raise CapExceededError(
             f"{total} subsets of size {k} exceed the cap of {cap}"
         )
-    best, best_phi = None, -math.inf
-    for combo in itertools.combinations(p.active, k):
-        val = objective.phi_eig(p, combo)
-        if val > best_phi:
-            best, best_phi = combo, val
+    band = _near_optimal(objective.SchurKernel(p, k), k)
+    designs = [[p.active[j] for j in s] for s in band]
+    best = designs[_break_tie(p, designs)]
     steps = _ascending_trace(p, best)
     return _finish("exhaustive", p, Design(best), steps, k, t0)
+
+
+def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
+    """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
+
+    Depth-first over the prefixes in lexicographic order.  Depth t holds
+    the Schur residuals res[t] and the phi of a t-element prefix;
+    descending to position j appends j's factor row e through the
+    SchurKernel.add that greedy calls, and the child has residuals
+    res[t] - e * e and phi + log1p(res[t][j]).  At depth k - 1 every leaf
+    extension is scored at once.  The band keeps its sets in lexicographic
+    order and drops those left behind whenever the best rises.
+    """
+    if k == 0:
+        return [()]
+    m = len(kern.active)
+    res = np.empty((k, m))
+    res[0] = kern.diag
+    phi, path, nxt = [0.0] * k, [0] * k, [0] * k
+    best, floor, band = -math.inf, -math.inf, []
+    t = 0
+    while t >= 0:
+        r, j = res[t], nxt[t]
+        if t == k - 1:
+            vals = phi[t] + np.log1p(r[j:])
+            top = float(vals.max())
+            if top > best:
+                best, floor = top, (1.0 - TIE_RTOL) * top
+                band = [(v, s) for v, s in band if v >= floor]
+            prefix = tuple(path[:t])
+            band += [(float(vals[i]), prefix + (j + i,))
+                     for i in np.flatnonzero(vals >= floor).tolist()]
+            t -= 1
+        elif j > m - k + t:  # too few positions left after j
+            t -= 1
+        else:
+            nxt[t], path[t] = j + 1, j
+            kern.t = t
+            e = kern.add(j, float(r[j]))
+            np.subtract(r, e * e, out=res[t + 1])
+            phi[t + 1] = phi[t] + math.log1p(r[j])
+            nxt[t + 1] = j + 1
+            t += 1
+    return [s for _, s in band]
 
 
 def random_baseline(p: InverseProblem, k: int, seed: int) -> SelectionReport:

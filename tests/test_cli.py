@@ -119,6 +119,15 @@ def test_eval_non_finite_problem_value_exits_2(tmp_path, capsys, line, value):
     assert "value 2: not finite" in err
 
 
+@pytest.mark.parametrize("line, key", [(2, "n"), (3, "n_s")])
+def test_eval_size_the_file_cannot_hold_exits_2(tmp_path, capsys, line, key):
+    """A size numpy refuses outright, so no version of the parser allocates it."""
+    text = DENSE_2.replace(f"\n{key} 2\n", f"\n{key} 99999999999999999999\n")
+    path = write(tmp_path, "bad.txt", text)
+    assert main(["eval", path, "1"]) == 2
+    assert f"error: line {line}: {key} = 99999999999999999999 exceeds" in capsys.readouterr().err
+
+
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.txt"), "1"]) == 2
 

@@ -4,6 +4,8 @@ Examples are derandomized and no example database is kept, so runs are
 repeatable; conftest moves Hypothesis' on-disk cache out of the checkout.
 """
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -104,3 +106,64 @@ def test_report_text_round_trip(payload, problem_hash):
     again = fileio.report_text(parsed.payload, parsed.problem_hash,
                                tool_version=parsed.tool_version, timestamp=parsed.timestamp)
     assert again == text
+
+
+# The model's documented invariant errors (CLI exit 3); every other defect
+# of a problem file must surface as a ProblemFormatError (exit 2).
+INVARIANTS = ("weight matrix is", "prior covariance is not", "prior square root inconsistent",
+              "noise levels must be strictly positive")
+TOKENS = ("0", "-1", "1e308", "nan", "x", "", "#", "1000", "99999999999999999999")
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one of its lines or tokens deleted, duplicated or replaced.
+
+    The edit is drawn uniformly from a seed: Hypothesis' own choices
+    favour the first lines, which hold the header.  Most tokens are
+    numbers, so most token edits reach the model.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = [line.split() for line in text.splitlines()]
+    if rnd.random() < 0.5:
+        units, at = lines, rnd.randrange(len(lines))
+        other = rnd.choice(lines + [[tok] for tok in TOKENS])
+    else:
+        i, at = rnd.choice([(i, j) for i, line in enumerate(lines) for j in range(len(line))])
+        units, other = lines[i], rnd.choice(TOKENS)
+    op = rnd.choice(("delete", "duplicate", "replace"))
+    if op == "delete":
+        del units[at]
+    elif op == "duplicate":
+        units.insert(at, units[at])
+    else:
+        units[at] = other
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@st.composite
+def problem_texts(draw):
+    n, n_s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return fileio.problem_text(random_problem(rng, n, n_s, weighted=draw(st.booleans())))
+
+
+@PROPERTY
+@given(problem_texts().flatmap(mutated))
+def test_mutated_problem_file_raises_only_documented_errors(text):
+    try:
+        fileio.parse_problem_text(text)
+    except fileio.ProblemFormatError:
+        pass
+    except ValueError as exc:
+        assert str(exc).startswith(INVARIANTS), exc
+
+
+@PROPERTY
+@given(st.tuples(selection_reports | verification_summaries, hashes)
+       .map(lambda ph: fileio.report_text(*ph, timestamp="unset")).flatmap(mutated))
+def test_mutated_report_raises_only_format_errors(text):
+    try:
+        fileio.parse_report_text(text)
+    except fileio.ProblemFormatError:
+        pass

@@ -1,6 +1,7 @@
 """Greedy, lazy greedy, exhaustive search, certificates, random baseline."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -268,6 +269,47 @@ def test_exhaustive_permutation_invariance():
     # candidate j of the permuted problem is candidate perm[j] of the original
     mapped = tuple(sorted(int(perm[j]) for j in r_q.chosen))
     assert mapped == r_p.chosen.indices
+
+
+def _chain(n, n_s, nodes=None):
+    return ss.generate(ss.ProblemSpec("chain", n=n, n_s=n_s, seed=0, sensor_nodes=nodes))
+
+
+def _with_inactive(p, dead):
+    f = p.F.copy()
+    f[list(dead)] = 0.0
+    return ss.build_problem(p.space, f, p.sigma, p.m_pr, p.gamma_pr.rep)
+
+
+def _brute_force(p, k):
+    """The first phi_eig maximizer among all size-k subsets in lexicographic
+    order, with its trace in ascending index order, all from phi_eig."""
+    best = max(itertools.combinations(p.active, k), key=lambda S: ss.phi_eig(p, S))
+    phi = [ss.phi_eig(p, best[:t]) for t in range(k + 1)]
+    return best, tuple((i, phi[t + 1] - phi[t], phi[t + 1]) for t, i in enumerate(best))
+
+
+@pytest.mark.parametrize("problem, budgets", [
+    (lambda: random_problem(np.random.default_rng(70), 5, 8), (0, 1, 4)),
+    (lambda: random_problem(np.random.default_rng(71), 3, 9), (0, 1, 5)),
+    (lambda: _chain(30, 8), (0, 1, 4)),
+    (lambda: _chain(14, 7, (3, 3, 6, 9, 9, 12, 3)), (0, 1, 2, 3)),
+    (lambda: _with_inactive(random_problem(np.random.default_rng(72), 4, 8), (0, 3, 6)),
+     (0, 1, 3)),
+    (lambda: identity_problem(5), (0, 1, 2)),
+    # mirror-symmetric designs tie to 2.6e-14 in phi
+    (lambda: _chain(60, 20), (3,)),
+], ids=["random", "random-saturated", "chain", "duplicated-nodes", "inactive", "identity",
+        "chain-mirror-tie"])
+def test_exhaustive_matches_brute_force(problem, budgets):
+    """Budgets 0, 1 and an interior one given, and the full budget |active|."""
+    p = problem()
+    for k in (*budgets, len(p.active)):
+        r = ss.exhaustive(p, k)
+        chosen, per_step = _brute_force(p, k)
+        assert r.chosen.indices == chosen
+        assert r.per_step == per_step
+        assert r.phi_final == ss.phi_eig(p, chosen)
 
 
 def test_certify_three_sensor_ratio_is_exactly_one():
