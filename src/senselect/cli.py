@@ -22,16 +22,9 @@ def _f12(x: float) -> str:
     return format(float(x), _FMT12)
 
 
-def _int(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise fileio.ProblemFormatError(f"{what}: not an integer: {tok.strip()!r}") from None
-
-
 def _parse_subset(text: str) -> tuple[int, ...]:
     text = text.strip()
-    return tuple(_int(tok, "subset") - 1 for tok in text.split(",")) if text else ()
+    return tuple(fileio._int(tok.strip(), "subset") - 1 for tok in text.split(",")) if text else ()
 
 
 def cmd_eval(args) -> int:
@@ -113,8 +106,8 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     nodes = None
     if args.sensor_nodes is not None:
-        nodes = tuple(_int(t, "--sensor-nodes") for t in args.sensor_nodes.split(",")
-                      if t.strip())
+        nodes = tuple(fileio._int(t.strip(), "--sensor-nodes")
+                      for t in args.sensor_nodes.split(",") if t.strip())
     spec = problems.ProblemSpec(
         kind=args.kind,
         n=args.n,

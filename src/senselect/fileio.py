@@ -17,6 +17,10 @@ Numbers are written with 17 significant digits, which round-trips every
 double exactly.  Sensor indices are 1-based in files (and in the CLI);
 the library is 0-based internally.
 
+A file is read in one pass.  Nothing is allocated from n or n_s before the
+rows holding that many values are checked: a dense block is stacked from
+checked rows, and an identity block is made once the last line is checked.
+
 Report files carry the same header lines (schema_version, report kind,
 tool_version, problem_hash, timestamp) followed by the payload.  The
 timestamp is "unset" unless SOURCE_DATE_EPOCH is present in the
@@ -29,6 +33,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,45 +61,44 @@ def _fmt(x: float) -> str:
 
 
 class _Lines:
-    """Cursor over the meaningful lines of a file."""
+    """Cursor over the meaningful lines of a file, each split when read."""
 
     def __init__(self, text: str):
         self.rows = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             body = raw.split("#", 1)[0].strip()
             if body:
-                self.rows.append((lineno, body.split()))
+                self.rows.append((lineno, body))
         self.pos = 0
 
-    def done(self) -> bool:
-        return self.pos >= len(self.rows)
+    def left(self) -> int:
+        return len(self.rows) - self.pos
 
-    def peek_line(self) -> int:
-        return self.rows[self.pos][0] if not self.done() else -1
-
-    def next(self, context: str):
-        if self.done():
+    def next(self, context: str) -> tuple[int, list[str]]:
+        if not self.left():
             raise ProblemFormatError(f"unexpected end of file, expected {context}")
-        row = self.rows[self.pos]
+        lineno, body = self.rows[self.pos]
         self.pos += 1
-        return row
+        return lineno, body.split()
+
+    def end(self) -> None:
+        if self.left():
+            raise ProblemFormatError("unexpected trailing content", self.rows[self.pos][0])
 
 
-def _parse_floats(lineno, tokens, count, label):
+def _floats(lineno, tokens, count, label) -> np.ndarray:
     if len(tokens) != count:
-        raise ProblemFormatError(
-            f"{label} has {len(tokens)} values, expected {count}", lineno
-        )
+        raise ProblemFormatError(f"{label} has {len(tokens)} values, expected {count}", lineno)
     try:
-        return [float(tok) for tok in tokens]
+        return np.fromiter(map(float, tokens), float, count)
     except ValueError:  # parse again, naming the first bad value
-        return [_float(tok, f"{label}, value {col}", lineno)
-                for col, tok in enumerate(tokens, start=1)]
+        return np.array([_float(tok, f"{label}, value {col}", lineno)
+                         for col, tok in enumerate(tokens, start=1)])
 
 
 def _finite_floats(lineno, tokens, count, label) -> np.ndarray:
-    """_parse_floats for problem data, which must be finite."""
-    out = np.array(_parse_floats(lineno, tokens, count, label))
+    """_floats for problem data, which must be finite."""
+    out = _floats(lineno, tokens, count, label)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         col = int(bad[0]) + 1
@@ -108,7 +113,7 @@ def _float(tok: str, what: str, lineno: int) -> float:
         raise ProblemFormatError(f"{what}: not a number: {tok!r}", lineno) from None
 
 
-def _int(tok: str, what: str, lineno: int) -> int:
+def _int(tok: str, what: str, lineno: int | None = None) -> int:
     try:
         return int(tok)
     except ValueError:
@@ -123,73 +128,64 @@ def _indices(toks, what: str, lineno: int) -> tuple[int, ...]:
     return idx
 
 
-def _expect_key(lines: _Lines, key: str):
+def _expect_key(lines: _Lines, key: str) -> tuple[int, list[str]]:
     lineno, tokens = lines.next(f"'{key}'")
     if tokens[0] != key:
         raise ProblemFormatError(f"expected '{key}', found {tokens[0]!r}", lineno)
     return lineno, tokens[1:]
 
 
-def _expect_int(lines: _Lines, key: str) -> int:
-    lineno, val = _expect_value(lines, key)
-    return _int(val, f"'{key}'", lineno)
+def _one(toks, key: str, lineno: int) -> str:
+    if len(toks) != 1:
+        raise ProblemFormatError(f"'{key}' takes one value", lineno)
+    return toks[0]
 
 
-def _expect_count(lines: _Lines, key: str) -> tuple[int, int]:
-    """Line number and value of a positive integer field."""
-    lineno, val = _expect_value(lines, key)
-    count = _int(val, f"'{key}'", lineno)
-    if count < 1:
-        raise ProblemFormatError(f"{key} must be positive, got {count}", lineno)
-    return lineno, count
+def _expect_schema(lines: _Lines) -> None:
+    lineno, rest = _expect_key(lines, "schema_version")
+    if rest != [SCHEMA_VERSION]:
+        raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
 
 
-def _read_matrix(lines: _Lines, key: str, rows: int, cols: int, allow_identity: bool):
+def _expect_size(lines: _Lines, key: str, most: int, of: str) -> int:
+    """A positive integer field.  Blocks are stacked from checked rows, so
+    the O(1) bound most only names the header line for a size too large."""
     lineno, rest = _expect_key(lines, key)
-    forms = ("identity", "dense") if allow_identity else ("dense",)
+    size = _at_least(1, _one(rest, key, lineno), f"'{key}'", lineno)
+    if size > most:
+        raise ProblemFormatError(f"{key} = {size} exceeds the {most} {of}", lineno)
+    return size
+
+
+def _read_block(lines: _Lines, key: str, rows: int, cols: int, forms=("identity", "dense")):
+    """A dense block stacked from its checked rows, or None for 'identity'."""
+    lineno, rest = _expect_key(lines, key)
     if len(rest) != 1 or rest[0] not in forms:
         raise ProblemFormatError(f"'{key}' must be one of {forms}", lineno)
     if rest[0] == "identity":
-        return np.eye(rows)
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        rl, tokens = lines.next(f"row {r + 1} of {key}")
-        out[r] = _finite_floats(rl, tokens, cols, f"{key} row {r + 1}")
-    return out
+        return None
+    return np.array([_finite_floats(*lines.next(f"row {r} of {key}"), cols, f"{key} row {r}")
+                     for r in range(1, rows + 1)])
 
 
-def _read_vector(lines: _Lines, key: str, count: int):
+def _read_vector(lines: _Lines, key: str, count: int) -> np.ndarray:
     _expect_key(lines, key)
-    lineno, tokens = lines.next(f"values of {key}")
-    return _finite_floats(lineno, tokens, count, key)
+    return _finite_floats(*lines.next(f"values of {key}"), count, key)
 
 
 def parse_problem_text(text: str) -> InverseProblem:
     lines = _Lines(text)
-    lineno, rest = _expect_key(lines, "schema_version")
-    if rest != [SCHEMA_VERSION]:
-        raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
-    n_line, n = _expect_count(lines, "n")
-    n_s_line, n_s = _expect_count(lines, "n_s")
-    # Sizes the rest of the file cannot hold are refused before anything
-    # is allocated from them: F needs n_s lines, and its rows n values.
-    rest = lines.rows[lines.pos:]
-    width = max((len(tokens) for _, tokens in rest), default=0)
-    if n > width:
-        raise ProblemFormatError(
-            f"n = {n} exceeds the {width} values of the longest line below", n_line)
-    if n_s > len(rest):
-        raise ProblemFormatError(
-            f"n_s = {n_s} exceeds the {len(rest)} lines below", n_s_line)
-    M = _read_matrix(lines, "M", n, n, allow_identity=True)
-    gamma = _read_matrix(lines, "Gamma_pr", n, n, allow_identity=True)
-    F = _read_matrix(lines, "F", n_s, n, allow_identity=False)
+    _expect_schema(lines)
+    n = _expect_size(lines, "n", len(text), "characters of the file")
+    n_s = _expect_size(lines, "n_s", lines.left() - 1, "lines below")
+    M = _read_block(lines, "M", n, n)
+    gamma = _read_block(lines, "Gamma_pr", n, n)
+    F = _read_block(lines, "F", n_s, n, forms=("dense",))
     sigma = _read_vector(lines, "sigma", n_s)
     m_pr = _read_vector(lines, "m_pr", n)
-    if not lines.done():
-        raise ProblemFormatError("unexpected trailing content", lines.peek_line())
-    space = WeightedSpace(M)
-    return build_problem(space, F, sigma, m_pr, gamma)
+    lines.end()
+    space = WeightedSpace(np.eye(n) if M is None else M)
+    return build_problem(space, F, sigma, m_pr, np.eye(n) if gamma is None else gamma)
 
 
 def read_problem(path) -> InverseProblem:
@@ -197,25 +193,31 @@ def read_problem(path) -> InverseProblem:
         return parse_problem_text(fh.read())
 
 
-def problem_text(p: InverseProblem) -> str:
-    """Canonical serialization; exact identity blocks use the shorthand."""
-    out = [f"schema_version {SCHEMA_VERSION}", f"n {p.n}", f"n_s {p.n_s}"]
+def _row(values) -> str:
+    return " ".join(map(_fmt, values)) + "\n"
 
-    def row(values):
-        return " ".join(_fmt(x) for x in values)
 
+def _problem_lines(p: InverseProblem):
+    """Canonical serialization by lines; exact identity blocks use the shorthand."""
+    yield f"schema_version {SCHEMA_VERSION}\nn {p.n}\nn_s {p.n_s}\n"
     for key, A in (("M", p.space.M), ("Gamma_pr", p.gamma_pr.rep)):
         if np.array_equal(A, np.eye(A.shape[0])):
-            out.append(f"{key} identity")
+            yield f"{key} identity\n"
         else:
-            out += [f"{key} dense", *map(row, A)]
-    out += ["F dense", *map(row, p.F), "sigma", row(p.sigma), "m_pr", row(p.m_pr)]
-    return "\n".join(out) + "\n"
+            yield f"{key} dense\n"
+            yield from map(_row, A)
+    yield "F dense\n"
+    yield from map(_row, p.F)
+    yield from ("sigma\n", _row(p.sigma), "m_pr\n", _row(p.m_pr))
+
+
+def problem_text(p: InverseProblem) -> str:
+    return "".join(_problem_lines(p))
 
 
 def write_problem(p: InverseProblem, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(problem_text(p))
+        fh.writelines(_problem_lines(p))
 
 
 def default_timestamp() -> str:
@@ -237,68 +239,163 @@ class ReportFile:
     timestamp: str
 
 
-def _header(kind, problem_hash, tool_version, timestamp):
-    return [
-        f"schema_version {SCHEMA_VERSION}",
-        f"report {kind}",
-        f"tool_version {tool_version}",
-        f"problem_hash {problem_hash}",
-        f"timestamp {timestamp}",
-    ]
+# A codec is a pair (dump, load): dump(value) gives the tokens of the key
+# line, then those of any further lines the field owns; load(tokens, key,
+# lineno, lines, seen) reads them back, seen holding the fields above it.
+def _scalar(parse, show=str):
+    """Codec of a one-token field; parse(tok, what, lineno) reads the token."""
+    def load(toks, key, lineno, lines, seen):
+        return parse(_one(toks, key, lineno), f"'{key}'", lineno)
+    return lambda value: [[show(value)]], load
 
 
-def report_text(
-    payload,
-    problem_hash: str | None = None,
-    tool_version: str = TOOL_VERSION,
-    timestamp: str | None = None,
-) -> str:
-    if timestamp is None:
-        timestamp = default_timestamp()
-    if isinstance(payload, SelectionReport):
-        out = _header("selection", problem_hash or payload.problem_hash,
-                      tool_version, timestamp)
-        out.append(f"method {payload.method}")
-        out.append(f"seed {'unset' if payload.seed is None else payload.seed}")
-        out.append(f"k {payload.k}")
-        out.append("chosen" + "".join(f" {i + 1}" for i in payload.chosen))
-        out.append(f"phi_final {_fmt(payload.phi_final)}")
-        out.append(f"eig_final {_fmt(payload.eig_final)}")
-        cert = payload.bound_certificate
-        if cert is None:
-            out.append("certificate unset")
-        else:
-            out.append(
-                f"certificate {_fmt(cert.opt_phi)} {_fmt(cert.ratio)} {_fmt(cert.floor)}"
-            )
-        out.append(f"steps {len(payload.per_step)}")
-        for idx, gain, phi in payload.per_step:
-            out.append(f"{idx + 1} {_fmt(gain)} {_fmt(phi)}")
-    elif isinstance(payload, VerificationSummary):
-        if problem_hash is None:
-            raise ValueError("verification reports need an explicit problem hash")
-        out = _header("verification", problem_hash, tool_version, timestamp)
-        mono, sub, mc = payload.monotone, payload.submodular, payload.mc
-        out.append(f"seed {payload.seed}")
-        out.append(f"monotone_trials {mono.trials}")
-        out.append(f"monotone_violations {mono.violations}")
-        out.append(f"monotone_min_gain {_fmt(mono.min_gain)}")
-        out.append(f"monotone_max_formula_err {_fmt(mono.max_formula_err)}")
-        out.append(f"submodular_mode {sub.mode}")
-        out.append(f"submodular_checks {sub.checks}")
-        out.append(f"submodular_violations {sub.violations}")
-        out.append(f"submodular_max_breach {_fmt(sub.max_breach)}")
-        err = "unset" if sub.max_formula_err is None else _fmt(sub.max_formula_err)
-        out.append(f"submodular_max_formula_err {err}")
-        out.append(f"mc_samples {mc.n_samples}")
-        out.append("mc_design" + "".join(f" {i + 1}" for i in payload.mc_design))
-        out.append(f"mc_mean {_fmt(mc.mean_kl)}")
-        out.append(f"mc_stderr {_fmt(mc.std_error)}")
-        out.append(f"mc_target {_fmt(payload.mc_target)}")
-        out.append(f"mc_ok {'yes' if payload.mc_ok else 'no'}")
-        out.append(f"ok {'yes' if payload.ok else 'no'}")
-    else:
+def _unset_or(dump, load):
+    """Codec of a field whose value may be None, written 'unset'."""
+    return (lambda value: [["unset"]] if value is None else dump(value),
+            lambda toks, *rest: None if toks == ["unset"] else load(toks, *rest))
+
+
+def _at_least(lo: int, tok, what, lineno) -> int:
+    value = _int(tok, what, lineno)
+    if value < lo:
+        raise ProblemFormatError(f"{what} must be at least {lo}, got {value}", lineno)
+    return value
+
+
+def _choice(words, tok, what, lineno) -> str:
+    if tok not in words:
+        raise ProblemFormatError(f"{what} must be one of {words}, got {tok!r}", lineno)
+    return tok
+
+
+def _load_chosen(toks, key, lineno, lines, seen) -> Design:
+    chosen = _indices(toks, f"'{key}'", lineno)
+    if len(chosen) != seen["k"]:
+        raise ProblemFormatError(
+            f"'{key}' has {len(chosen)} indices, expected k = {seen['k']}", lineno)
+    return Design(chosen)
+
+
+def _load_steps(toks, key, lineno, lines, seen):
+    """The step lines: each sensor of 'chosen' once, in selection order."""
+    count = _int(_one(toks, key, lineno), f"'{key}'", lineno)
+    if count != seen["k"]:
+        raise ProblemFormatError(f"'{key}' = {count}, expected k = {seen['k']}", lineno)
+    left = set(seen["chosen"])
+    steps = []
+    for s in range(1, count + 1):
+        lineno, tokens = lines.next(f"step {s}")
+        (idx,) = _indices(tokens[:1], f"step {s}", lineno)
+        gain, phi = _floats(lineno, tokens, 3, f"step {s}").tolist()[1:]
+        if idx not in left:
+            raise ProblemFormatError(
+                f"step {s}: sensor {idx + 1} is not in 'chosen' or repeats a step", lineno)
+        left.remove(idx)
+        steps.append((idx, gain, phi))
+    return tuple(steps)
+
+
+_WORD = _scalar(lambda tok, what, lineno: tok)
+_INT = _scalar(_int)
+_FLOAT = _scalar(_float, _fmt)
+_FLAG = _scalar(lambda tok, what, lineno: _choice(("yes", "no"), tok, what, lineno) == "yes",
+                lambda value: "yes" if value else "no")
+_INDICES = (lambda idx: [[str(i + 1) for i in idx]],
+            lambda toks, key, lineno, *_: _indices(toks, f"'{key}'", lineno))
+
+# Each table lists a report's lines in file order: the key, its codec and
+# the attribute path of the value it holds.
+_SELECTION = (
+    ("method", _WORD, "method"),
+    ("seed", _unset_or(*_INT), "seed"),
+    ("k", _scalar(partial(_at_least, 0)), "k"),
+    ("chosen", (_INDICES[0], _load_chosen), "chosen"),
+    ("phi_final", _FLOAT, "phi_final"),
+    ("eig_final", _FLOAT, "eig_final"),
+    ("certificate", _unset_or(
+        lambda c: [[_fmt(c.opt_phi), _fmt(c.ratio), _fmt(c.floor)]],
+        lambda toks, key, lineno, *_: Certificate(*_floats(lineno, toks, 3, key).tolist())),
+     "bound_certificate"),
+    ("steps", (
+        lambda steps: [[str(len(steps))],
+                       *([str(i + 1), _fmt(gain), _fmt(phi)] for i, gain, phi in steps)],
+        _load_steps), "per_step"),
+)
+
+_VERIFICATION = (
+    ("seed", _INT, "seed"),
+    ("monotone_trials", _INT, "monotone.trials"),
+    ("monotone_violations", _INT, "monotone.violations"),
+    ("monotone_min_gain", _FLOAT, "monotone.min_gain"),
+    ("monotone_max_formula_err", _FLOAT, "monotone.max_formula_err"),
+    ("submodular_mode", _WORD, "submodular.mode"),
+    ("submodular_checks", _INT, "submodular.checks"),
+    ("submodular_violations", _INT, "submodular.violations"),
+    ("submodular_max_breach", _FLOAT, "submodular.max_breach"),
+    ("submodular_max_formula_err", _unset_or(*_FLOAT), "submodular.max_formula_err"),
+    ("mc_samples", _INT, "mc.n_samples"),
+    ("mc_design", _INDICES, "mc_design"),
+    ("mc_mean", _FLOAT, "mc.mean_kl"),
+    ("mc_stderr", _FLOAT, "mc.std_error"),
+    ("mc_target", _FLOAT, "mc_target"),
+    ("mc_ok", _FLAG, "mc_ok"),
+    ("ok", _FLAG, "ok"),  # implied by the others; checked, then dropped
+)
+
+
+def _verification_summary(v, problem_hash) -> VerificationSummary:
+    def part(cls, name, **more):
+        return cls(**{a[len(name) + 1:]: x for a, x in v.items() if a.startswith(name + ".")},
+                   **more)
+    return VerificationSummary(
+        part(MonotoneReport, "monotone"), part(SubmodularReport, "submodular"),
+        part(McEigEstimate, "mc", seed=v["seed"] + 2),
+        v["mc_design"], v["mc_target"], v["mc_ok"], v["seed"])
+
+
+# kind -> payload type, field table, and payload from (values, problem hash)
+_KINDS = {
+    "selection": (SelectionReport, _SELECTION,
+                  lambda v, problem_hash: SelectionReport(**v, problem_hash=problem_hash)),
+    "verification": (VerificationSummary, _VERIFICATION, _verification_summary),
+}
+
+_HEADER = (
+    ("report", _scalar(partial(_choice, tuple(_KINDS))), "kind"),
+    ("tool_version", _WORD, "tool_version"),
+    ("problem_hash", _WORD, "problem_hash"),
+    ("timestamp", _WORD, "timestamp"),
+)
+
+
+def _dump_fields(table, obj):
+    for key, (dump, _), attr in table:
+        first, *more = dump(attrgetter(attr)(obj))
+        yield " ".join([key, *first])
+        yield from map(" ".join, more)
+
+
+def _load_fields(lines: _Lines, table) -> dict:
+    seen = {}
+    for key, (_, load), attr in table:
+        lineno, toks = _expect_key(lines, key)
+        seen[attr] = load(toks, key, lineno, lines, seen)
+    return seen
+
+
+def report_text(payload, problem_hash: str | None = None, tool_version: str = TOOL_VERSION,
+                timestamp: str | None = None) -> str:
+    kind = next((k for k, (cls, _, _) in _KINDS.items() if isinstance(payload, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot serialize report payload of type {type(payload)!r}")
+    if kind == "selection":
+        problem_hash = problem_hash or payload.problem_hash
+    elif problem_hash is None:
+        raise ValueError("verification reports need an explicit problem hash")
+    head = ReportFile(kind, payload, tool_version, problem_hash,
+                      default_timestamp() if timestamp is None else timestamp)
+    out = [f"schema_version {SCHEMA_VERSION}", *_dump_fields(_HEADER, head),
+           *_dump_fields(_KINDS[kind][1], payload)]
     return "\n".join(out) + "\n"
 
 
@@ -308,113 +405,14 @@ def write_report(payload, path, problem_hash=None, tool_version=TOOL_VERSION,
         fh.write(report_text(payload, problem_hash, tool_version, timestamp))
 
 
-def _expect_value(lines, key):
-    lineno, rest = _expect_key(lines, key)
-    if len(rest) != 1:
-        raise ProblemFormatError(f"'{key}' takes one value", lineno)
-    return lineno, rest[0]
-
-
-def _expect_float(lines, key) -> float:
-    lineno, val = _expect_value(lines, key)
-    return _float(val, f"'{key}'", lineno)
-
-
-def _expect_flag(lines, key) -> bool:
-    lineno, val = _expect_value(lines, key)
-    if val not in ("yes", "no"):
-        raise ProblemFormatError(f"'{key}' must be 'yes' or 'no', got {val!r}", lineno)
-    return val == "yes"
-
-
 def parse_report_text(text: str) -> ReportFile:
     lines = _Lines(text)
-    lineno, rest = _expect_key(lines, "schema_version")
-    if rest != [SCHEMA_VERSION]:
-        raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
-    _, kind = _expect_value(lines, "report")
-    _, tool_version = _expect_value(lines, "tool_version")
-    _, problem_hash = _expect_value(lines, "problem_hash")
-    _, timestamp = _expect_value(lines, "timestamp")
-    if kind == "selection":
-        payload = _parse_selection(lines, problem_hash)
-    elif kind == "verification":
-        payload = _parse_verification(lines)
-    else:
-        raise ProblemFormatError(f"unknown report kind {kind!r}")
-    if not lines.done():
-        raise ProblemFormatError("unexpected trailing content", lines.peek_line())
-    return ReportFile(kind, payload, tool_version, problem_hash, timestamp)
-
-
-def _parse_selection(lines, problem_hash) -> SelectionReport:
-    _, method = _expect_value(lines, "method")
-    lineno, seed_tok = _expect_value(lines, "seed")
-    seed = None if seed_tok == "unset" else _int(seed_tok, "'seed'", lineno)
-    k = _expect_int(lines, "k")
-    lineno, chosen_toks = _expect_key(lines, "chosen")
-    chosen = Design(_indices(chosen_toks, "'chosen'", lineno))
-    phi_final = _expect_float(lines, "phi_final")
-    eig_final = _expect_float(lines, "eig_final")
-    lineno, cert_toks = _expect_key(lines, "certificate")
-    if cert_toks == ["unset"]:
-        cert = None
-    elif len(cert_toks) == 3:
-        vals = _parse_floats(lineno, cert_toks, 3, "certificate")
-        cert = Certificate(opt_phi=vals[0], ratio=vals[1], floor=vals[2])
-    else:
-        raise ProblemFormatError("certificate takes 'unset' or three values", lineno)
-    n_steps = _expect_int(lines, "steps")
-    steps = []
-    for s in range(n_steps):
-        lineno, tokens = lines.next(f"step {s + 1}")
-        if len(tokens) != 3:
-            raise ProblemFormatError(
-                f"step {s + 1} has {len(tokens)} values, expected 3", lineno
-            )
-        (idx,) = _indices(tokens[:1], f"step {s + 1}", lineno)
-        gain, phi = _parse_floats(lineno, tokens[1:], 2, f"step {s + 1}")
-        steps.append((idx, gain, phi))
-    return SelectionReport(
-        method=method,
-        chosen=chosen,
-        per_step=tuple(steps),
-        phi_final=phi_final,
-        eig_final=eig_final,
-        k=k,
-        problem_hash=problem_hash,
-        seed=seed,
-        bound_certificate=cert,
-        wall_time=None,
-    )
-
-
-def _parse_verification(lines) -> VerificationSummary:
-    seed = _expect_int(lines, "seed")
-    mono = MonotoneReport(
-        trials=_expect_int(lines, "monotone_trials"),
-        violations=_expect_int(lines, "monotone_violations"),
-        min_gain=_expect_float(lines, "monotone_min_gain"),
-        max_formula_err=_expect_float(lines, "monotone_max_formula_err"),
-    )
-    _, mode = _expect_value(lines, "submodular_mode")
-    checks = _expect_int(lines, "submodular_checks")
-    violations = _expect_int(lines, "submodular_violations")
-    max_breach = _expect_float(lines, "submodular_max_breach")
-    lineno, err_tok = _expect_value(lines, "submodular_max_formula_err")
-    max_err = None if err_tok == "unset" else _float(
-        err_tok, "'submodular_max_formula_err'", lineno)
-    sub = SubmodularReport(mode, checks, violations, max_breach, max_err)
-    mc_samples = _expect_int(lines, "mc_samples")
-    lineno, design_toks = _expect_key(lines, "mc_design")
-    mc_design = _indices(design_toks, "'mc_design'", lineno)
-    mc_mean = _expect_float(lines, "mc_mean")
-    mc_stderr = _expect_float(lines, "mc_stderr")
-    mc_target = _expect_float(lines, "mc_target")
-    mc_ok = _expect_flag(lines, "mc_ok")
-    _expect_flag(lines, "ok")
-    mc = McEigEstimate(mc_samples, mc_mean, mc_stderr, seed + 2)
-    return VerificationSummary(mono, sub, mc, mc_design, mc_target, mc_ok, seed)
+    _expect_schema(lines)
+    head = _load_fields(lines, _HEADER)
+    _, table, build = _KINDS[head["kind"]]
+    payload = build(_load_fields(lines, table), head["problem_hash"])
+    lines.end()
+    return ReportFile(payload=payload, **head)
 
 
 def read_report(path) -> ReportFile:

@@ -57,10 +57,6 @@ class Design:
         return i in self.indices
 
 
-def as_design(S) -> Design:
-    return S if isinstance(S, Design) else Design(tuple(S))
-
-
 def phi_eig(p: InverseProblem, S) -> float:
     """log det(I + Ht(S)), evaluated by a dense symmetric factorization.
 

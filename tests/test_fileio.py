@@ -1,5 +1,8 @@
 """Problem and report file round trips, shorthand forms, and parse errors."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,11 @@ def _verification_text():
         (_selection_text, "chosen 3 3"),
         (_verification_text, "mc_design 0 0 11"),
         (_verification_text, "mc_design 2 2"),
+        (_selection_text, "k -1"),
+        (_selection_text, "chosen 1"),
+        (_selection_text, "chosen 1 2 3"),
+        (_selection_text, "steps 1"),
+        (_selection_text, "steps 3"),
     ],
 )
 def test_report_parse_rejects_malformed_field(make, bad):
@@ -271,3 +279,40 @@ def test_report_parse_rejects_malformed_field(make, bad):
     with pytest.raises(fileio.ProblemFormatError) as exc:
         fileio.parse_report_text("\n".join(rows) + "\n")
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("index", ["2", "1"], ids=["not-chosen", "repeated"])
+def test_report_parse_rejects_step_outside_chosen(index):
+    """The step lines must add the chosen sensors (1 3), each once."""
+    rows = _selection_text().splitlines()
+    lineno = rows.index("steps 2") + 3
+    rows[lineno - 1] = index + " " + rows[lineno - 1].split(None, 1)[1]
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.parse_report_text("\n".join(rows) + "\n")
+    assert exc.value.line == lineno
+
+
+def test_parse_allocates_nothing_from_header_sizes():
+    """A 40 KB file declaring n = 20,000 with identity blocks and a short
+    m_pr: the error names m_pr's line before any n x n block exists.
+
+    The bound is what the parser holds at once: the file's lines, the
+    tokens of one line, and per token one float64 for its checked row plus
+    one for the block stacked from those rows."""
+    n = 20_000
+    text = "\n".join(["schema_version 1", f"n {n}", "n_s 1", "M identity", "Gamma_pr identity",
+                      "F dense", " ".join(["1"] * n), "sigma", "1", "m_pr", "0"]) + "\n"
+    lines = text.splitlines()
+    widest = max((line.split() for line in lines), key=len)
+    bound = (sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+             + sys.getsizeof(widest) + sum(map(sys.getsizeof, widest))
+             + 2 * 8 * len(text.split()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fileio.ProblemFormatError) as exc:
+            fileio.parse_problem_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 11 and "m_pr has 1 values" in str(exc.value)
+    assert peak < bound

@@ -72,18 +72,20 @@ counts = st.integers(0, 10**6)
 sensors = st.lists(st.integers(0, 10**4), max_size=8, unique=True).map(tuple)
 hashes = st.text("0123456789abcdef", min_size=1, max_size=64)
 
-selection_reports = st.builds(
+# Consistent reports, as the parser requires: k = len(chosen) = len(per_step),
+# and the steps add the chosen sensors in some order.
+selection_reports = sensors.flatmap(lambda order: st.builds(
     ss.SelectionReport,
     method=st.sampled_from(("greedy", "lazy_greedy", "exhaustive", "random")),
-    chosen=sensors.map(ss.Design),
-    per_step=st.lists(st.tuples(st.integers(0, 10**4), numbers, numbers), max_size=8).map(tuple),
+    chosen=st.just(ss.Design(order)),
+    per_step=st.tuples(*(st.tuples(st.just(i), numbers, numbers) for i in order)),
     phi_final=numbers,
     eig_final=numbers,
-    k=counts,
+    k=st.just(len(order)),
     problem_hash=hashes,
     seed=st.none() | counts,
     bound_certificate=st.none() | st.builds(ss.Certificate, numbers, numbers, numbers),
-)
+))
 
 verification_summaries = st.builds(
     ss.VerificationSummary,
