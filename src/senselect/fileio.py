@@ -40,7 +40,7 @@ import numpy as np
 
 from .model import InverseProblem, build_problem
 from .objective import Design
-from .selection import Certificate, SelectionReport
+from .selection import GUARANTEE_FLOOR, Certificate, SelectionReport, certificate_ratio
 from .verify import McEigEstimate, MonotoneReport, SubmodularReport, VerificationSummary
 from .wspace import WeightedSpace
 
@@ -295,6 +295,49 @@ def _load_steps(toks, key, lineno, lines, seen):
     return tuple(steps)
 
 
+def _checked(codec, fault):
+    """codec, refusing a value v for which fault(v, seen) names a fault.
+
+    seen holds the fields above the line; a field that they imply must
+    agree with them, or the file would not round-trip.
+    """
+    dump, load = codec
+
+    def check(toks, key, lineno, lines, seen):
+        value = load(toks, key, lineno, lines, seen)
+        msg = fault(value, seen)
+        if msg:
+            raise ProblemFormatError(f"'{key}' {msg}", lineno)
+        return value
+    return dump, check
+
+
+def _eig_fault(eig, seen) -> str | None:
+    half = 0.5 * seen["phi_final"]
+    return None if eig == half else f"must be phi_final / 2 = {_fmt(half)}"
+
+
+def _certificate_fault(cert, seen) -> str | None:
+    """A certificate holds the ratio certify_bound gives phi_final and opt_phi."""
+    if cert is None:
+        return None
+    try:
+        ratio = certificate_ratio(seen["phi_final"], cert.opt_phi)
+    except ZeroDivisionError:
+        return "has opt_phi 0 but phi_final is not 0"
+    if (cert.ratio, cert.floor) != (ratio, GUARANTEE_FLOOR):
+        return (f"ratio and floor must be {_fmt(ratio)} {_fmt(GUARANTEE_FLOOR)} "
+                f"for phi_final {_fmt(seen['phi_final'])} and opt_phi {_fmt(cert.opt_phi)}")
+    return None
+
+
+def _ok_fault(ok, seen) -> str | None:
+    want = _verification_summary(seen).ok
+    if ok == want:
+        return None
+    return "must be yes: every check passed" if want else "must be no: a check failed"
+
+
 _WORD = _scalar(lambda tok, what, lineno: tok)
 _INT = _scalar(_int)
 _FLOAT = _scalar(_float, _fmt)
@@ -311,11 +354,11 @@ _SELECTION = (
     ("k", _scalar(partial(_at_least, 0)), "k"),
     ("chosen", (_INDICES[0], _load_chosen), "chosen"),
     ("phi_final", _FLOAT, "phi_final"),
-    ("eig_final", _FLOAT, "eig_final"),
-    ("certificate", _unset_or(
+    ("eig_final", _checked(_FLOAT, _eig_fault), "eig_final"),
+    ("certificate", _checked(_unset_or(
         lambda c: [[_fmt(c.opt_phi), _fmt(c.ratio), _fmt(c.floor)]],
         lambda toks, key, lineno, *_: Certificate(*_floats(lineno, toks, 3, key).tolist())),
-     "bound_certificate"),
+        _certificate_fault), "bound_certificate"),
     ("steps", (
         lambda steps: [[str(len(steps))],
                        *([str(i + 1), _fmt(gain), _fmt(phi)] for i, gain, phi in steps)],
@@ -339,11 +382,11 @@ _VERIFICATION = (
     ("mc_stderr", _FLOAT, "mc.std_error"),
     ("mc_target", _FLOAT, "mc_target"),
     ("mc_ok", _FLAG, "mc_ok"),
-    ("ok", _FLAG, "ok"),  # implied by the others; checked, then dropped
+    ("ok", _checked(_FLAG, _ok_fault), "ok"),  # implied by the others; checked, then dropped
 )
 
 
-def _verification_summary(v, problem_hash) -> VerificationSummary:
+def _verification_summary(v) -> VerificationSummary:
     def part(cls, name, **more):
         return cls(**{a[len(name) + 1:]: x for a, x in v.items() if a.startswith(name + ".")},
                    **more)
@@ -357,7 +400,8 @@ def _verification_summary(v, problem_hash) -> VerificationSummary:
 _KINDS = {
     "selection": (SelectionReport, _SELECTION,
                   lambda v, problem_hash: SelectionReport(**v, problem_hash=problem_hash)),
-    "verification": (VerificationSummary, _VERIFICATION, _verification_summary),
+    "verification": (VerificationSummary, _VERIFICATION,
+                     lambda v, problem_hash: _verification_summary(v)),
 }
 
 _HEADER = (

@@ -211,6 +211,6 @@ def posterior(p: InverseProblem, S, y) -> Posterior:
         return Posterior(mean, Operator(p.space, p.gamma_pr.rep.copy()))
     cols = list(idx)
     cov_rep = np.linalg.inv(hessian_misfit(p, idx).rep + p.gamma_pr_inv.rep)
-    fty = (y / p.sigma[cols] ** 2) @ p.F[cols, :]  # rows F_S' Gn^-1 y
-    rhs = p.space.solve(fty.T).T + p.gamma_pr_inv.rep @ p.m_pr
+    # rows M^-1 F_S' Gn^-1 y = sum_i y_i / sigma_i s_i, from the cached s_i
+    rhs = (y / p.sigma[cols]) @ p.sensor_vecs[:, cols].T + p.gamma_pr_inv.rep @ p.m_pr
     return Posterior(rhs @ cov_rep.T, Operator(p.space, cov_rep))

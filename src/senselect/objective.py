@@ -136,6 +136,24 @@ def overlap(state: DesignState, i, j) -> float:
     return state.kernel.entry(pos(p.active, i), pos(p.active, j))
 
 
+def gain(r):
+    """log1p(r), the gain of a candidate whose coefficient a_vv is r.
+
+    On an array, math.log1p is mapped over the entries: numpy's log1p
+    rounds differently, and an array must give the floats that its
+    entries give one at a time.
+    """
+    if np.ndim(r) == 0:
+        return math.log1p(r)
+    return np.array([*map(math.log1p, r.ravel().tolist())]).reshape(r.shape)
+
+
+def conditioned_gain(a_vv, a_vw, a_ww):
+    """log(1 + a_vv - a_vw^2 / (1 + a_ww)), the gain of v after w, from the
+    coefficients of the unextended design; elementwise on arrays."""
+    return gain(a_vv - a_vw * a_vw / (1.0 + a_ww))
+
+
 def marginal_gain(state: DesignState, v) -> float:
     """phi(S + v) - phi(S) = log(1 + a_vv).
 
@@ -148,7 +166,7 @@ def marginal_gain(state: DesignState, v) -> float:
         raise ValueError(f"candidate {v} is already in the design")
     if v not in p.active_set:
         return 0.0
-    return math.log1p(overlap(state, v, v))
+    return gain(overlap(state, v, v))
 
 
 def marginal_gain_conditioned(state: DesignState, v, w) -> float:
@@ -169,10 +187,7 @@ def marginal_gain_conditioned(state: DesignState, v, w) -> float:
         return 0.0
     if w not in p.active_set:
         return marginal_gain(state, v)
-    a_vv = overlap(state, v, v)
-    a_vw = overlap(state, v, w)
-    a_ww = overlap(state, w, w)
-    return math.log1p(a_vv - a_vw * a_vw / (1.0 + a_ww))
+    return conditioned_gain(overlap(state, v, v), overlap(state, v, w), overlap(state, w, w))
 
 
 def extend(state: DesignState, v) -> DesignState:
@@ -250,6 +265,15 @@ class SchurKernel:
             return self.catch_up(float(self.diag[j]), j, 0)
         rows = self.rows[:self.t]
         return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
+
+    def block(self, pos) -> np.ndarray:
+        """Schur block K[pos, pos] - E[:, pos]' E[:, pos] of the positions pos.
+
+        Off the diagonal these are entry's values, up to the rounding of
+        the matrix products; catch_up gives the residuals on the diagonal.
+        """
+        w, e = self._w[:, pos], self.rows[:self.t, pos]
+        return w.T @ w - e.T @ e
 
     def catch_up(self, r: float, j: int, since: int) -> float:
         """Residual r of position j, computed after `since` rows, brought up to date."""

@@ -284,14 +284,18 @@ def certify_bound(
             f"budget mismatch: {greedy_report.k} vs {exhaustive_report.k}"
         )
     opt = exhaustive_report.phi_final
-    val = greedy_report.phi_final
-    ratio = 1.0 if val == opt else val / opt
+    ratio = certificate_ratio(greedy_report.phi_final, opt)
     if ratio < GUARANTEE_FLOOR - CERTIFICATE_SLACK:
         raise BoundViolationError(
             f"greedy ratio {ratio!r} fell below 1 - 1/e = {GUARANTEE_FLOOR!r}"
         )
     cert = Certificate(opt_phi=opt, ratio=ratio)
     return replace(greedy_report, bound_certificate=cert)
+
+
+def certificate_ratio(phi: float, opt_phi: float) -> float:
+    """phi / opt_phi, and exactly 1 when greedy's phi is the optimum itself."""
+    return 1.0 if phi == opt_phi else phi / opt_phi
 
 
 def _ascending_trace(p: InverseProblem, chosen):

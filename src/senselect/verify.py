@@ -10,7 +10,6 @@ the closed-form gains against from-scratch objective differences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +68,14 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     z standard normal, R the prior square root, and L the whitening factor
     of the space), simulate data y ~ N(F(S) m, Gn(S)), then average
     kl_gaussian of the resulting posterior.  All parameter draws happen
-    before all noise draws, which pins the stream for a given seed.  The
-    samples go through posterior and kl_gaussian as rows of one data
-    matrix, a block at a time, since the covariance does not depend on y.
+    before all noise draws, which pins the stream for a given seed.
+
+    Once per call, before any sample, the n x n map R L^-T is solved (the
+    one scipy call of mc_eig); Gamma_pr^-1 is cached on the problem at its
+    first use.  The samples then go through posterior and kl_gaussian as
+    rows of one data matrix, a block at a time, since the covariance does
+    not depend on y; each block forms the posterior covariance, its trace
+    and its log determinant once, with numpy alone.
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.
@@ -87,11 +91,12 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     Z = rng.standard_normal((p.n, n_samples))
     E = rng.standard_normal((len(idx), n_samples))
     L = p.space.whitening_factor
+    draw = solve_triangular(L, p.gamma_pr_sqrt.rep.T, lower=True).T  # R L^-T
     F_S, sigma = p.F[list(idx), :], p.sigma[list(idx), None]
 
     def kl_block(b):
-        x = solve_triangular(L, Z[:, b:b + _MC_BLOCK], lower=True, trans=1)
-        Y = F_S @ (p.m_pr[:, None] + p.gamma_pr_sqrt.rep @ x) + sigma * E[:, b:b + _MC_BLOCK]
+        m = p.m_pr[:, None] + draw @ Z[:, b:b + _MC_BLOCK]
+        Y = F_S @ m + sigma * E[:, b:b + _MC_BLOCK]
         return kl_gaussian(p, posterior(p, idx, Y.T))
 
     kls = np.concatenate([kl_block(b) for b in range(0, n_samples, _MC_BLOCK)])
@@ -145,8 +150,8 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         S = tuple(int(i) for i in np.sort(rng.choice(active, size, replace=False)))
         rest = np.asarray([i for i in active if i not in S])
         v = int(rng.choice(rest))
-        dense_gain = objective.phi_eig(p, S + (v,)) - objective.phi_eig(p, S)
         state = objective.design_state(p, S)
+        dense_gain = objective.phi_eig(p, S + (v,)) - state.phi
         formula_gain = objective.marginal_gain(state, v)
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
@@ -180,42 +185,54 @@ def check_submodular(
 
 
 def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
-    active = p.active
-    if len(active) > 16:
+    """Every design A and ordered pair (v, w) outside it, a block at a time.
+
+    phi_eig of every subset is held in a table indexed by the bit mask of
+    its positions in p.active.  The designs are visited depth first in
+    lexicographic order on one SchurKernel, one add per design, so a
+    design's residuals, the plain gains log1p(a_vv), are catch_up's.  One
+    Schur block over the remaining positions gives every a_vw, and with
+    it the conditioned gain of every pair at once.
+    """
+    m = len(p.active)
+    if m > 16:
         raise ValueError("exhaustive mode is limited to 16 active candidates")
-    phi = {}
-    for r in range(len(active) + 1):
-        for combo in itertools.combinations(active, r):
-            phi[combo] = objective.phi_eig(p, combo)
-
-    def with_(A, *extra):
-        return tuple(sorted(A + extra))
-
+    phi = np.array([objective.phi_eig(p, [i for b, i in enumerate(p.active) if mask >> b & 1])
+                    for mask in range(1 << m)])
+    bits = 1 << np.arange(m)
+    kern = objective.SchurKernel(p, m)
+    res = np.empty((m + 1, m))
+    res[0] = kern.diag
     checks = violations = 0
     max_breach = -math.inf
     max_err = 0.0
-    for A in itertools.chain.from_iterable(
-        itertools.combinations(active, r) for r in range(len(active))
-    ):
-        state = objective.design_state(p, A)
-        rest = [c for c in active if c not in A]
-        plain = {}
-        for v in rest:
-            g = objective.marginal_gain(state, v)
-            plain[v] = g
-            err = abs(g - (phi[with_(A, v)] - phi[A]))
-            max_err = max(max_err, err)
-            if err > FORMULA_TOL:
-                violations += 1
-        for v, w in itertools.permutations(rest, 2):
-            g_cond = objective.marginal_gain_conditioned(state, v, w)
-            breach = g_cond - plain[v]
-            err = abs(g_cond - (phi[with_(A, v, w)] - phi[with_(A, w)]))
-            checks += 1
-            max_breach = max(max_breach, breach)
-            max_err = max(max_err, err)
-            if breach > SUBMODULAR_TOL or err > FORMULA_TOL:
-                violations += 1
+
+    def visit(t: int, mask: int, start: int) -> None:
+        nonlocal checks, violations, max_breach, max_err
+        rest = np.flatnonzero((bits & mask) == 0)
+        a = res[t][rest]
+        plain = objective.gain(a)
+        up = phi[mask | bits[rest]]  # phi(A + v)
+        err = np.abs(plain - (up - phi[mask]))
+        max_err = max(max_err, float(err.max(initial=0.0)))
+        violations += int(np.count_nonzero(err > FORMULA_TOL))
+        if rest.size > 1:
+            cond = objective.conditioned_gain(a[:, None], kern.block(rest), a[None, :])
+            pair = ~np.eye(rest.size, dtype=bool)  # [v, w] with v != w
+            breach = (cond - plain[:, None])[pair]
+            err = np.abs(cond - (phi[mask | bits[rest][:, None] | bits[rest]] - up))[pair]
+            checks += breach.size
+            max_breach = max(max_breach, float(breach.max()))
+            max_err = max(max_err, float(err.max()))
+            violations += int(np.count_nonzero((breach > SUBMODULAR_TOL) | (err > FORMULA_TOL)))
+        if t + 1 < m:
+            for j in range(start, m):
+                kern.t = t
+                e = kern.add(j, float(res[t][j]))
+                np.subtract(res[t], e * e, out=res[t + 1])
+                visit(t + 1, mask | 1 << j, j + 1)
+
+    visit(0, 0, 0)
     if not math.isfinite(max_breach):
         max_breach = 0.0
     return SubmodularReport("exhaustive", checks, violations, max_breach, max_err)

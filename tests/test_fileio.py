@@ -245,6 +245,11 @@ def _selection_text():
     return fileio.report_text(ss.greedy(three_sensor_problem(), 2))
 
 
+def _certified_text():
+    p = three_sensor_problem()
+    return fileio.report_text(ss.certify_bound(ss.greedy(p, 2), ss.exhaustive(p, 2)))
+
+
 def _verification_text():
     p = ss.generate(ss.ProblemSpec("chain", n=8, n_s=3, seed=0))
     summary = ss.verification_run(p, trials=10, samples=50, seed=0)
@@ -269,6 +274,11 @@ def _verification_text():
         (_selection_text, "chosen 1 2 3"),
         (_selection_text, "steps 1"),
         (_selection_text, "steps 3"),
+        (_verification_text, "ok no"),
+        (_selection_text, "eig_final 1"),
+        (_certified_text, "certificate 4 1 0.63212055882855767"),
+        (_certified_text, "certificate 0 1 0.63212055882855767"),
+        (_certified_text, "certificate inf 0 0.5"),
     ],
 )
 def test_report_parse_rejects_malformed_field(make, bad):

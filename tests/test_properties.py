@@ -4,6 +4,7 @@ Examples are derandomized and no example database is kept, so runs are
 repeatable; conftest moves Hypothesis' on-disk cache out of the checkout.
 """
 
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import senselect as ss
 from senselect import fileio
+from senselect.selection import certificate_ratio
 
 from conftest import random_problem
 
@@ -72,20 +74,34 @@ counts = st.integers(0, 10**6)
 sensors = st.lists(st.integers(0, 10**4), max_size=8, unique=True).map(tuple)
 hashes = st.text("0123456789abcdef", min_size=1, max_size=64)
 
-# Consistent reports, as the parser requires: k = len(chosen) = len(per_step),
-# and the steps add the chosen sensors in some order.
-selection_reports = sensors.flatmap(lambda order: st.builds(
-    ss.SelectionReport,
-    method=st.sampled_from(("greedy", "lazy_greedy", "exhaustive", "random")),
-    chosen=st.just(ss.Design(order)),
-    per_step=st.tuples(*(st.tuples(st.just(i), numbers, numbers) for i in order)),
-    phi_final=numbers,
-    eig_final=numbers,
-    k=st.just(len(order)),
-    problem_hash=hashes,
-    seed=st.none() | counts,
-    bound_certificate=st.none() | st.builds(ss.Certificate, numbers, numbers, numbers),
-))
+def _certificates(phi):
+    """No certificate, or one that certify_bound could attach to phi_final = phi."""
+    opts = numbers.filter(lambda opt: opt != 0.0 or phi == 0.0)
+    certs = opts.map(lambda opt: ss.Certificate(opt, certificate_ratio(phi, opt)))
+    return st.none() | certs.filter(lambda c: not math.isnan(c.ratio))
+
+
+@st.composite
+def _selection_report(draw):
+    """A consistent report, as the parser requires: k = len(chosen) =
+    len(per_step), the steps add the chosen sensors in some order,
+    eig_final = phi_final / 2, and a certificate holds certify_bound's
+    ratio and floor."""
+    order, phi = draw(sensors), draw(numbers)
+    return ss.SelectionReport(
+        method=draw(st.sampled_from(("greedy", "lazy_greedy", "exhaustive", "random"))),
+        chosen=ss.Design(order),
+        per_step=tuple((i, draw(numbers), draw(numbers)) for i in order),
+        phi_final=phi,
+        eig_final=0.5 * phi,
+        k=len(order),
+        problem_hash=draw(hashes),
+        seed=draw(st.none() | counts),
+        bound_certificate=draw(_certificates(phi)),
+    )
+
+
+selection_reports = _selection_report()
 
 verification_summaries = st.builds(
     ss.VerificationSummary,

@@ -1,11 +1,13 @@
 """Monte Carlo oracle, Gaussian KL, and the property-campaign drivers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import senselect as ss
+from senselect import model, verify, wspace
 
 from conftest import (
     identity_problem,
@@ -264,6 +266,101 @@ def test_check_submodular_random_mode_clean():
     assert rep.mode == "random"
     assert rep.checks == 150
     assert rep.violations == 0
+
+
+def _submodular_reference(p):
+    """The exhaustive check one (A, v, w) at a time, on design_state.
+
+    Returns the formula errors of the plain gains, and the breaches and
+    formula errors of the conditioned gains, so that violations can be
+    counted for any tolerances.
+    """
+    active = p.active
+    phi = {c: ss.phi_eig(p, c)
+           for r in range(len(active) + 1) for c in itertools.combinations(active, r)}
+
+    def with_(A, *extra):
+        return tuple(sorted(A + extra))
+
+    plain_errs, breaches, pair_errs = [], [], []
+    for r in range(len(active)):
+        for A in itertools.combinations(active, r):
+            state = ss.design_state(p, A)
+            rest = [c for c in active if c not in A]
+            plain = {v: ss.marginal_gain(state, v) for v in rest}
+            plain_errs += [abs(plain[v] - (phi[with_(A, v)] - phi[A])) for v in rest]
+            for v, w in itertools.permutations(rest, 2):
+                g = ss.marginal_gain_conditioned(state, v, w)
+                breaches.append(g - plain[v])
+                pair_errs.append(abs(g - (phi[with_(A, v, w)] - phi[with_(A, w)])))
+    return np.array(plain_errs), np.array(breaches), np.array(pair_errs)
+
+
+def _submodular_cases():
+    rng = np.random.default_rng(93)
+    dead = random_problem(rng, 5, 8)
+    f = dead.F.copy()
+    f[3] = 0.0  # inactive: positions in p.active are no longer indices
+    yield ss.generate(ss.ProblemSpec("chain", n=20, n_s=10, seed=7))  # README's chain
+    yield random_problem(rng, 4, 6)
+    yield random_problem(rng, 3, 9)
+    yield ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
+
+
+def test_exhaustive_submodular_blocks_match_per_pair_reference(monkeypatch):
+    """The block check counts what the per-pair loop counts.
+
+    Both sides share phi_eig and every residual a_vv bit for bit, so they
+    differ only in a_vw: the Schur block forms it with matrix products,
+    the reference with dot products of inner dimension at most n and m
+    whose terms are bounded by max K_vv (Cauchy-Schwarz), so the two
+    a_vw differ by at most 2 (n + m + 2) eps max K_vv.  Through the
+    conditioned gain that error is scaled by 2 |a_vw| / (1 + a_ww) <=
+    sqrt(max K_vv), and each side rounds the formula by a few eps (1 +
+    max K_vv).  max_breach and max_formula_err move by no more than the
+    largest gain does.
+    """
+    eps = np.finfo(float).eps
+    for p in _submodular_cases():
+        m = len(p.active)
+        w = p.space.whitening_factor.T @ p.precond_vecs
+        big = 1.0 + float(np.max(np.sum(w * w, axis=0)))
+        tol = 2.0 * (p.n + m + 6) * eps * big ** 1.5
+        plain_errs, breaches, pair_errs = _submodular_reference(p)
+        for name in (None, "SUBMODULAR_TOL", "FORMULA_TOL"):
+            with monkeypatch.context() as patch:
+                if name:
+                    patch.setattr(verify, name, -1.0)
+                rep = ss.check_submodular(p, mode="exhaustive")
+                bad_pair = (breaches > verify.SUBMODULAR_TOL) | (pair_errs > verify.FORMULA_TOL)
+                violations = int(np.sum(plain_errs > verify.FORMULA_TOL) + np.sum(bad_pair))
+            assert (rep.checks, rep.violations) == (breaches.size, violations)
+            assert (violations > 0) == (name is not None)
+            assert abs(rep.max_breach - breaches.max()) <= tol
+            assert abs(rep.max_formula_err - max(plain_errs.max(), pair_errs.max())) <= tol
+
+
+def test_mc_eig_scipy_calls_do_not_grow_with_samples(monkeypatch):
+    """No scipy.linalg function runs inside mc_eig's block loop."""
+    calls = []
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return call
+
+    for mod in (model, verify, wspace):
+        for name in ("cho_factor", "cho_solve", "solve_triangular"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    counts = {}
+    for n_samples in (1000, 5000):
+        p = random_problem(np.random.default_rng(94), 6, 5)
+        calls.clear()
+        ss.mc_eig(p, (0, 2, 3), n_samples=n_samples, seed=4)
+        counts[n_samples] = len(calls)
+    assert counts[1000] == counts[5000] >= 1
 
 
 def test_check_submodular_modes_agree():
