@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .wspace import Operator, WeightedSpace, adjoint_forward, is_selfadjoint
+from .wspace import Operator, WeightedSpace, adjoint_forward, is_selfadjoint, require_finite
 
 SQRT_CONSISTENCY_TOL = 1e-9
 
@@ -38,8 +37,9 @@ class InverseProblem:
     """Immutable bundle of the problem data and derived per-sensor vectors.
 
     Use build_problem to construct; the constructor validates every
-    invariant (noise levels positive, prior selfadjoint in the weighted
-    inner product and positive definite, square root consistent).
+    invariant (every array finite, noise levels positive, prior selfadjoint
+    in the weighted inner product and positive definite, square root
+    consistent).
     """
 
     def __init__(self, space: WeightedSpace, F, sigma, m_pr, gamma_pr):
@@ -49,32 +49,35 @@ class InverseProblem:
         F = np.asarray(F, dtype=float)
         if F.ndim != 2 or F.shape[1] != n:
             raise ValueError(f"forward map must have {n} columns, got shape {F.shape}")
+        require_finite(F, "forward map F")
         q = F.shape[0]
 
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (q,):
             raise ValueError(f"expected {q} noise levels, got shape {sigma.shape}")
+        require_finite(sigma, "noise levels sigma")
         if not np.all(sigma > 0):
             raise ValueError("noise levels must be strictly positive")
 
         m_pr = space.check_vector(m_pr)
+        require_finite(m_pr, "prior mean m_pr")
 
         if isinstance(gamma_pr, Operator):
             if gamma_pr.space is not space:
                 raise ValueError("prior covariance lives on a different space")
         else:
             gamma_pr = Operator(space, gamma_pr)
+        require_finite(gamma_pr.rep, "prior covariance Gamma_pr")
         if not is_selfadjoint(gamma_pr):
             raise ValueError("prior covariance is not selfadjoint in the weighted inner product")
         G = gamma_pr.rep
         MG = space.M @ G
         MG = 0.5 * (MG + MG.T)
         try:
-            self._mg_chol = cho_factor(MG, lower=True)
+            np.linalg.cholesky(MG)
         except np.linalg.LinAlgError as exc:
             raise ValueError("prior covariance is not positive definite") from exc
-        except ValueError as exc:
-            raise ValueError("prior covariance is not positive definite") from exc
+        self._mg = MG
 
         self.F = F
         self.sigma = sigma
@@ -106,8 +109,8 @@ class InverseProblem:
 
     @cached_property
     def gamma_pr_inv(self) -> Operator:
-        # Gamma_pr^-1 = (M Gamma_pr)^-1 M, solved through the SPD factor
-        return Operator(self.space, cho_solve(self._mg_chol, self.space.M))
+        # Gamma_pr^-1 = (M Gamma_pr)^-1 M, with the symmetrized M Gamma_pr
+        return Operator(self.space, np.linalg.solve(self._mg, self.space.M))
 
     @cached_property
     def gamma_pr_logdet(self) -> float:
@@ -147,14 +150,14 @@ def _selfadjoint_sqrt(space: WeightedSpace, G: np.ndarray) -> Operator:
     selfadjoint square root of G.
     """
     L = space.whitening_factor
-    X = solve_triangular(L, G.T, lower=True).T  # G L^-T
+    X = np.linalg.solve(L, G.T).T  # G L^-T
     C = L.T @ X
     C = 0.5 * (C + C.T)
     w, V = np.linalg.eigh(C)
     if w[0] <= 0:
         raise ValueError("prior covariance is not positive definite")
     S = (V * np.sqrt(w)) @ V.T
-    R = solve_triangular(L, S, lower=True, trans=1)  # L^-T sqrt(C)
+    R = np.linalg.solve(L.T, S)  # L^-T sqrt(C)
     return Operator(space, R @ L.T)
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import objective
 from .model import InverseProblem, Posterior, posterior, validate_design
@@ -71,8 +70,8 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     before all noise draws, which pins the stream for a given seed.
 
     Once per call, before any sample, the n x n map R L^-T is solved (the
-    one scipy call of mc_eig); Gamma_pr^-1 is cached on the problem at its
-    first use.  The samples then go through posterior and kl_gaussian as
+    one linear solve of mc_eig); Gamma_pr^-1 is cached on the problem at
+    its first use.  The samples then go through posterior and kl_gaussian as
     rows of one data matrix, a block at a time, since the covariance does
     not depend on y; each block forms the posterior covariance, its trace
     and its log determinant once, with numpy alone.
@@ -91,7 +90,7 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     Z = rng.standard_normal((p.n, n_samples))
     E = rng.standard_normal((len(idx), n_samples))
     L = p.space.whitening_factor
-    draw = solve_triangular(L, p.gamma_pr_sqrt.rep.T, lower=True).T  # R L^-T
+    draw = np.linalg.solve(L, p.gamma_pr_sqrt.rep.T).T  # R L^-T
     F_S, sigma = p.F[list(idx), :], p.sigma[list(idx), None]
 
     def kl_block(b):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 SYMMETRY_TOL = 1e-10
 UPDATE_DENOMINATOR_TOL = 1e-12
@@ -31,10 +30,20 @@ class SingularUpdateError(ValueError):
     """Rank-one inverse update has a numerically vanishing denominator."""
 
 
+def require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the array when it holds a NaN or an Inf.
+
+    Cholesky and LU factorizations return NaN for such input without
+    raising, so every array is checked before it is factored.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has a non-finite entry (NaN or Inf)")
+
+
 class WeightedSpace:
     """R^n with inner product <u, v> = u' M v.
 
-    The weight matrix must be symmetric to a relative tolerance and
+    The weight matrix must be finite, symmetric to a relative tolerance and
     positive definite (verified by a Cholesky factorization of the
     symmetrized matrix).  The stored matrix is symmetrized once so that
     every downstream identity can treat M and M' interchangeably.
@@ -44,6 +53,7 @@ class WeightedSpace:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {M.shape}")
+        require_finite(M, "weight matrix M")
         scale = float(np.abs(M).max()) if M.size else 0.0
         if scale == 0.0:
             raise ValueError("weight matrix is zero")
@@ -87,11 +97,11 @@ class WeightedSpace:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
     def solve(self, B) -> np.ndarray:
-        """M^-1 B through the cached Cholesky factor."""
+        """M^-1 B by an LU solve with M itself."""
         B = np.asarray(B, dtype=float)
         if B.shape[0] != self.n:
             raise ValueError("leading dimension does not match the space")
-        return cho_solve((self._chol, True), B)
+        return np.linalg.solve(self.M, B)
 
 
 @dataclass(eq=False)

@@ -7,6 +7,7 @@ criterion 9 revisits exactly the instances of criteria 2 through 4.
 Run with -s to see the informational summary lines.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -197,20 +198,34 @@ def test_criterion_07_rank_one_identities_200_spaces():
     assert elapsed < 5.0
 
 
-def _run_cli(args, cwd):
+def _run_python(args, cwd, **env):
     # the child runs in cwd, so point it at the package under test by an
     # absolute path; a relative PYTHONPATH would not resolve there
     src = str(Path(ss.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "senselect", *args],
+        [sys.executable, *args],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _run_cli(args, cwd, **env):
+    return _run_python(["-m", "senselect", *args], cwd, **env)
+
+
+def _readme_session():
+    """(argv, stdout lines) of every `$ senselect` command shown in README.md."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    return [
+        (line.split()[2:], list(itertools.takewhile(lambda s: s and s != "```", lines[i + 1:])))
+        for i, line in enumerate(lines)
+        if line.startswith("$ senselect ")
+    ]
 
 
 def test_criterion_08_byte_identical_reports_across_runs(tmp_path):
@@ -260,3 +275,34 @@ def test_criterion_09_greedy_lazy_identical_on_all_campaign_instances():
         compare(p, k)
     elapsed = time.perf_counter() - t0
     print(f"criterion 9: {count} instances compared, {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_session_stdout_under_blas_threads(tmp_path, threads):
+    """README's gen, greedy --certify and eval print README's lines.
+
+    The greedy step order of the README chain is decided by rounding (its
+    mirror-image sensors differ by a few ulps of phi), so it is pinned
+    under 1 and 2 BLAS threads.
+    """
+    session = [(a, out) for a, out in _readme_session() if a[0] in ("gen", "greedy", "eval")]
+    assert [a[0] for a, _ in session] == ["gen", "greedy", "eval"]
+    for argv, want in session:
+        assert _run_cli(argv, tmp_path, OPENBLAS_NUM_THREADS=threads).splitlines() == want
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """The CLI imports numpy only, and a full session loads nothing more."""
+    code = """
+import sys
+import senselect.cli
+assert "scipy" not in sys.modules, "import senselect.cli loaded scipy"
+for argv in (
+    ["gen", "--kind", "chain", "--n", "20", "--n-s", "10", "--seed", "7", "--out", "c.prob"],
+    ["greedy", "c.prob", "3", "--certify", "--out", "g.report"],
+    ["verify", "c.prob", "--trials", "5", "--samples", "200", "--seed", "3", "--out", "v.report"],
+):
+    assert senselect.cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a CLI session loaded scipy"
+"""
+    _run_python(["-c", code], tmp_path)

@@ -52,6 +52,24 @@ def test_build_rejects_nonpositive_sigma():
         ss.build_problem(space, np.eye(2), np.array([1.0, -1.0]), np.zeros(2), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("F", "forward map F"),
+        ("sigma", "noise levels sigma"),
+        ("m_pr", "prior mean m_pr"),
+        ("gamma_pr", "prior covariance Gamma_pr"),
+    ],
+)
+def test_build_rejects_non_finite_data(field, name, bad):
+    space = ss.WeightedSpace(np.diag([2.0, 1.0]))
+    data = dict(F=np.eye(2), sigma=np.ones(2), m_pr=np.zeros(2), gamma_pr=np.eye(2))
+    data[field][-1, ...] = bad
+    with pytest.raises(ValueError, match=name):
+        ss.build_problem(space, **data)
+
+
 def test_build_rejects_non_selfadjoint_prior():
     space = ss.WeightedSpace(np.diag([2.0, 1.0]))
     # Euclidean-symmetric but not selfadjoint in the weighted product

@@ -52,6 +52,16 @@ def test_space_rejects_indefinite_weight():
         ss.WeightedSpace(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_space_rejects_non_finite_weight(bad, where):
+    # np.linalg.cholesky returns NaN for most of these without raising
+    m = np.diag([2.0, 1.0])
+    m[where] = m[where[::-1]] = bad
+    with pytest.raises(ValueError, match="weight matrix M"):
+        ss.WeightedSpace(m)
+
+
 def test_space_accepts_roundoff_asymmetry():
     rng = np.random.default_rng(5)
     m = random_spd(rng, 4)
