@@ -2,7 +2,8 @@
 
 Subcommands: eval, greedy, exhaustive, verify, gen.  Sensor indices are
 1-based on the command line and in files.  Exit codes: 0 on success, 2
-for parse errors (non-finite problem data included), 3 for invariant
+for parse errors (non-finite problem data and non-ASCII bytes included)
+and for files that cannot be read or written, 3 for invariant
 violations, 4 when an enumeration cap is exceeded, and 5 for property
 violations, including a greedy gain that is not positive or that rises.
 """
@@ -20,6 +21,17 @@ _FMT12 = "#.12g"
 
 def _f12(x: float) -> str:
     return format(float(x), _FMT12)
+
+
+def _count_at_least(lo: int):
+    """argparse type of an integer flag that must be at least lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its 'invalid int value' message
+    return parse
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -159,8 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the property and Monte Carlo checks")
     pv.add_argument("problem")
-    pv.add_argument("--trials", type=int, default=200)
-    pv.add_argument("--samples", type=int, default=2000)
+    pv.add_argument("--trials", type=_count_at_least(0), default=200)
+    pv.add_argument("--samples", type=_count_at_least(2), default=2000,
+                    help="Monte Carlo samples, at least 2 for a standard error")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", help="write a report file")
     pv.set_defaults(func=cmd_verify)
@@ -185,7 +198,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.ProblemFormatError, FileNotFoundError) as exc:
+    except (fileio.ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except selection.CapExceededError as exc:

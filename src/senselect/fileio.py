@@ -56,8 +56,12 @@ class ProblemFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+# 17 significant digits round-trip every double
+_NUMBER = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _NUMBER % x
 
 
 class _Lines:
@@ -188,13 +192,30 @@ def parse_problem_text(text: str) -> InverseProblem:
     return build_problem(space, F, sigma, m_pr, np.eye(n) if gamma is None else gamma)
 
 
+def _read_text(path) -> str:
+    """The file as ASCII text; a non-ASCII byte is a format error at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"byte 0x{data[exc.start]:02x} is not ASCII",
+                                 data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def read_problem(path) -> InverseProblem:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_problem_text(fh.read())
+    return parse_problem_text(_read_text(path))
 
 
-def _row(values) -> str:
-    return " ".join(map(_fmt, values)) + "\n"
+def _rows(A: np.ndarray):
+    """Lines of a 2-D block, each row formatted by one %-operation.
+
+    Each row becomes Python floats only when its line is made, so a block
+    is never held as Python floats at once.
+    """
+    line = " ".join([_NUMBER] * A.shape[1]) + "\n"
+    for row in A:
+        yield line % tuple(row.tolist())
 
 
 def _problem_lines(p: InverseProblem):
@@ -205,10 +226,12 @@ def _problem_lines(p: InverseProblem):
             yield f"{key} identity\n"
         else:
             yield f"{key} dense\n"
-            yield from map(_row, A)
+            yield from _rows(A)
     yield "F dense\n"
-    yield from map(_row, p.F)
-    yield from ("sigma\n", _row(p.sigma), "m_pr\n", _row(p.m_pr))
+    yield from _rows(p.F)
+    for key, v in (("sigma", p.sigma), ("m_pr", p.m_pr)):
+        yield f"{key}\n"
+        yield from _rows(v[None, :])
 
 
 def problem_text(p: InverseProblem) -> str:
@@ -340,6 +363,7 @@ def _ok_fault(ok, seen) -> str | None:
 
 _WORD = _scalar(lambda tok, what, lineno: tok)
 _INT = _scalar(_int)
+_COUNT = _scalar(partial(_at_least, 0))
 _FLOAT = _scalar(_float, _fmt)
 _FLAG = _scalar(lambda tok, what, lineno: _choice(("yes", "no"), tok, what, lineno) == "yes",
                 lambda value: "yes" if value else "no")
@@ -351,7 +375,7 @@ _INDICES = (lambda idx: [[str(i + 1) for i in idx]],
 _SELECTION = (
     ("method", _WORD, "method"),
     ("seed", _unset_or(*_INT), "seed"),
-    ("k", _scalar(partial(_at_least, 0)), "k"),
+    ("k", _COUNT, "k"),
     ("chosen", (_INDICES[0], _load_chosen), "chosen"),
     ("phi_final", _FLOAT, "phi_final"),
     ("eig_final", _checked(_FLOAT, _eig_fault), "eig_final"),
@@ -367,16 +391,16 @@ _SELECTION = (
 
 _VERIFICATION = (
     ("seed", _INT, "seed"),
-    ("monotone_trials", _INT, "monotone.trials"),
+    ("monotone_trials", _COUNT, "monotone.trials"),
     ("monotone_violations", _INT, "monotone.violations"),
     ("monotone_min_gain", _FLOAT, "monotone.min_gain"),
     ("monotone_max_formula_err", _FLOAT, "monotone.max_formula_err"),
     ("submodular_mode", _WORD, "submodular.mode"),
-    ("submodular_checks", _INT, "submodular.checks"),
+    ("submodular_checks", _COUNT, "submodular.checks"),
     ("submodular_violations", _INT, "submodular.violations"),
     ("submodular_max_breach", _FLOAT, "submodular.max_breach"),
     ("submodular_max_formula_err", _unset_or(*_FLOAT), "submodular.max_formula_err"),
-    ("mc_samples", _INT, "mc.n_samples"),
+    ("mc_samples", _COUNT, "mc.n_samples"),
     ("mc_design", _INDICES, "mc_design"),
     ("mc_mean", _FLOAT, "mc.mean_kl"),
     ("mc_stderr", _FLOAT, "mc.std_error"),
@@ -460,5 +484,4 @@ def parse_report_text(text: str) -> ReportFile:
 
 
 def read_report(path) -> ReportFile:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_report_text(fh.read())
+    return parse_report_text(_read_text(path))

@@ -90,10 +90,6 @@ class InverseProblem:
         if err > SQRT_CONSISTENCY_TOL * max(1.0, np.abs(G).max()):
             raise ValueError(f"prior square root inconsistent with covariance (err {err:.3e})")
 
-        # per-sensor representers; columns i give s_i and st_i
-        self.sensor_vecs = adjoint_forward(space, F) / sigma[None, :]
-        self.precond_vecs = R @ self.sensor_vecs
-
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
         self.active_set = frozenset(self.active)
@@ -106,6 +102,16 @@ class InverseProblem:
     @property
     def n_s(self) -> int:
         return int(self.F.shape[0])
+
+    # Per-sensor representers, formed on first read: column i gives s_i
+    # and st_i.  Writing a problem file reads neither.
+    @cached_property
+    def sensor_vecs(self) -> np.ndarray:
+        return adjoint_forward(self.space, self.F) / self.sigma[None, :]
+
+    @cached_property
+    def precond_vecs(self) -> np.ndarray:
+        return self.gamma_pr_sqrt.rep @ self.sensor_vecs
 
     @cached_property
     def gamma_pr_inv(self) -> Operator:

@@ -53,6 +53,14 @@ def generate(spec: ProblemSpec) -> InverseProblem:
     raise ValueError(f"unknown problem kind {spec.kind!r}")
 
 
+def _require_finite(spec: ProblemSpec, *names: str) -> None:
+    """Refuse a NaN or infinite parameter, which no range check below catches."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _random_spd(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
     """Q diag(lam) Q' with log-uniform spectrum in [1, cond]."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -72,6 +80,7 @@ def gen_random(spec: ProblemSpec) -> InverseProblem:
     """
     if spec.n < 1 or spec.n_s < 1:
         raise ValueError("need n >= 1 and n_s >= 1")
+    _require_finite(spec, "conditioning")
     if spec.conditioning < 1.0:
         raise ValueError("conditioning must be at least 1")
     rng = np.random.default_rng(spec.seed)
@@ -142,6 +151,7 @@ def gen_chain(spec: ProblemSpec) -> InverseProblem:
     for i in nodes:
         if not 1 <= i <= n - 2:
             raise ValueError(f"sensor node {i} is not an interior node of the mesh")
+    _require_finite(spec, "diffusivity", "prior_weight", "element_size")
     if spec.diffusivity <= 0 or spec.prior_weight <= 0:
         raise ValueError("diffusivity and prior weight must be positive")
     h = spec.element_size if spec.element_size is not None else 1.0 / (n - 1)

@@ -132,6 +132,18 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.txt"), "1"]) == 2
 
 
+def test_eval_non_ascii_byte_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(IDENTITY_2.encode("ascii").replace(b"n 2\n", b"n 2\xe9\n", 1))
+    assert main(["eval", str(path), "1"]) == 2
+    assert "error: line 2: byte 0xe9 is not ASCII" in capsys.readouterr().err
+
+
+def test_eval_directory_exits_2(tmp_path, capsys):
+    assert main(["eval", str(tmp_path), "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eval_bad_subset_token_exits_2(identity_file, capsys):
     assert main(["eval", identity_file, "1,x"]) == 2
 
@@ -196,6 +208,11 @@ def test_greedy_threads_flag(pair_file, capsys):
     assert "chosen 1 3" in capsys.readouterr().out
 
 
+def test_greedy_out_directory_exits_2(pair_file, tmp_path, capsys):
+    assert main(["greedy", pair_file, "1", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exhaustive_session(pair_file, capsys):
     assert main(["exhaustive", pair_file, "2"]) == 0
     out = capsys.readouterr().out
@@ -233,6 +250,16 @@ def test_verify_writes_round_trippable_report(tmp_path, capsys):
     rep = fileio.read_report(out)
     assert rep.kind == "verification"
     assert rep.payload.ok
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--samples", "0"),
+                                         ("--samples", "1")])
+def test_verify_bad_count_exits_2(tmp_path, capsys, flag, value):
+    path = write(tmp_path, "scalar.txt", SCALAR)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 def test_gen_then_greedy_pipeline(tmp_path, capsys):
@@ -286,6 +313,29 @@ def test_gen_invalid_chain_exits_3(tmp_path, capsys):
          str(tmp_path / "x.txt")]
     )
     assert code == 3
+
+
+def test_gen_out_directory_exits_2(tmp_path, capsys):
+    code = main(["gen", "--kind", "chain", "--n", "5", "--n-s", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, param, value", [
+    ("random", "conditioning", "nan"),
+    ("random", "conditioning", "inf"),
+    ("chain", "diffusivity", "nan"),
+    ("chain", "prior_weight", "inf"),
+    ("chain", "element_size", "nan"),
+])
+def test_gen_non_finite_parameter_exits_3(tmp_path, capsys, kind, param, value):
+    out = tmp_path / "x.txt"
+    flag = "--" + param.replace("_", "-")
+    code = main(["gen", "--kind", kind, "--n", "5", "--n-s", "2", f"{flag}={value}",
+                 "--out", str(out)])
+    assert code == 3
+    assert f"error: {param} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

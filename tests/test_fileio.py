@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import senselect as ss
 from senselect import fileio
@@ -65,6 +66,66 @@ def test_problem_file_round_trip_is_byte_stable(tmp_path):
     path2 = tmp_path / "again.txt"
     fileio.write_problem(q, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def per_value_problem_text(p) -> str:
+    """The reference writer: one format() call per value."""
+    def row(values):
+        return " ".join(format(float(x), ".17g") for x in values) + "\n"
+    out = [f"schema_version 1\nn {p.n}\nn_s {p.n_s}\n"]
+    for key, A in (("M", p.space.M), ("Gamma_pr", p.gamma_pr.rep)):
+        if np.array_equal(A, np.eye(p.n)):
+            out.append(f"{key} identity\n")
+        else:
+            out += [f"{key} dense\n", *map(row, A)]
+    out += ["F dense\n", *map(row, p.F), "sigma\n", row(p.sigma), "m_pr\n", row(p.m_pr)]
+    return "".join(out)
+
+
+def assert_writes_as_reference(p):
+    """The text equals the reference writer's, and parses back bit for bit."""
+    text = fileio.problem_text(p)
+    assert text == per_value_problem_text(p)
+    q = fileio.parse_problem_text(text)
+    for a, b in ((p.space.M, q.space.M), (p.gamma_pr.rep, q.gamma_pr.rep), (p.F, q.F),
+                 (p.sigma, q.sigma), (p.m_pr, q.m_pr)):
+        assert a.tobytes() == b.tobytes()
+
+
+BIGGEST = np.finfo(float).max
+ADVERSARIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-5, 1e-4, -1e-4, 1e16, 1e17,
+               BIGGEST, -BIGGEST, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["identity", "dense"])
+def test_writer_matches_per_value_format_on_adversarial_doubles(weighted):
+    base = random_problem(np.random.default_rng(95), 7, 2, weighted=weighted)
+    F = np.array(ADVERSARIAL).reshape(2, 7)
+    sigma = np.array([5e-324, BIGGEST])
+    m_pr = np.array([-0.0, 1e-310, 1e-5, 1e16, 1e17, -BIGGEST, np.nextafter(1.0, 2.0)])
+    assert_writes_as_reference(
+        ss.build_problem(base.space, F, sigma, m_pr, base.gamma_pr.rep))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _written_problems(draw):
+    """Any finite F and m_pr, positive sigma, and an identity or dense M and prior."""
+    n, n_s = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_problem(rng, n, n_s, weighted=draw(st.booleans()))
+    F = np.array(draw(st.lists(finite, min_size=n * n_s, max_size=n * n_s))).reshape(n_s, n)
+    sigma = draw(st.lists(finite.filter(lambda x: x > 0), min_size=n_s, max_size=n_s))
+    m_pr = draw(st.lists(finite, min_size=n, max_size=n))
+    return ss.build_problem(base.space, F, sigma, m_pr, base.gamma_pr.rep)
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(_written_problems())
+def test_writer_matches_per_value_format_on_drawn_problems(p):
+    assert_writes_as_reference(p)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -279,6 +340,9 @@ def _verification_text():
         (_certified_text, "certificate 4 1 0.63212055882855767"),
         (_certified_text, "certificate 0 1 0.63212055882855767"),
         (_certified_text, "certificate inf 0 0.5"),
+        (_verification_text, "monotone_trials -3"),
+        (_verification_text, "submodular_checks -1"),
+        (_verification_text, "mc_samples -2"),
     ],
 )
 def test_report_parse_rejects_malformed_field(make, bad):
@@ -300,6 +364,19 @@ def test_report_parse_rejects_step_outside_chosen(index):
     with pytest.raises(fileio.ProblemFormatError) as exc:
         fileio.parse_report_text("\n".join(rows) + "\n")
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("read, text", [(fileio.read_problem, GOOD),
+                                         (fileio.read_report, _selection_text())],
+                         ids=["problem", "report"])
+def test_non_ascii_byte_is_a_format_error_at_its_line(tmp_path, read, text):
+    rows = text.encode("ascii").split(b"\n")
+    rows[1] += b"\xe9"
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"\n".join(rows))
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        read(path)
+    assert exc.value.line == 2 and "byte 0xe9 is not ASCII" in str(exc.value)
 
 
 def test_parse_allocates_nothing_from_header_sizes():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import senselect as ss
+from senselect import fileio
+from senselect.wspace import adjoint_forward
 
 from conftest import (
     identity_problem,
@@ -21,6 +23,17 @@ def test_identity_problem_sensor_vectors_are_basis():
     p = identity_problem(3)
     assert maxabs(p.sensor_vecs - np.eye(3)) == 0.0
     assert maxabs(p.precond_vecs - np.eye(3)) <= 1e-14
+
+
+def test_sensor_vectors_are_formed_on_first_read(tmp_path):
+    """Generating and writing a problem forms neither n x n_s array; the
+    first read gives the eager formulas' bits."""
+    p = ss.generate(ss.ProblemSpec("random", n=6, n_s=9, seed=4))
+    fileio.write_problem(p, tmp_path / "p.txt")
+    assert "sensor_vecs" not in p.__dict__ and "precond_vecs" not in p.__dict__
+    s = adjoint_forward(p.space, p.F) / p.sigma[None, :]
+    assert p.sensor_vecs.tobytes() == s.tobytes()
+    assert p.precond_vecs.tobytes() == (p.gamma_pr_sqrt.rep @ s).tobytes()
 
 
 def test_weighted_sensor_vector_hand_oracle():
