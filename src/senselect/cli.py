@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("greedy", help="greedy selection of k sensors")
     pg.add_argument("problem")
     pg.add_argument("k", type=int)
-    pg.add_argument("--lazy", action="store_true", help="lazy evaluation (same output)")
+    pg.add_argument("--lazy", action="store_true",
+                    help="accepted for compatibility; runs plain greedy, report method lazy_greedy")
     pg.add_argument("--certify", action="store_true",
                     help="attach the (1 - 1/e) certificate via exhaustive search")
     pg.add_argument("--out", help="write a report file")

@@ -22,6 +22,7 @@ inactive at construction.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,7 +93,6 @@ class InverseProblem:
 
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
-        self.active_set = frozenset(self.active)
         self.inactive = tuple(int(i) for i in np.flatnonzero(~nonzero))
 
     @property
@@ -167,18 +167,58 @@ def _selfadjoint_sqrt(space: WeightedSpace, G: np.ndarray) -> Operator:
     return Operator(space, R @ L.T)
 
 
+@dataclass(frozen=True)
+class Design:
+    """Sorted tuple of distinct 0-based candidate indices."""
+
+    indices: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        idx = tuple(int(i) for i in self.indices)
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"design contains duplicate indices: {idx}")
+        if any(i < 0 for i in idx):
+            raise ValueError(f"design contains negative indices: {idx}")
+        object.__setattr__(self, "indices", tuple(sorted(idx)))
+
+    def __iter__(self):
+        return iter(self.indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __contains__(self, i) -> bool:
+        return i in self.indices
+
+
 def validate_design(p: InverseProblem, S) -> tuple[int, ...]:
     """Normalize a candidate subset to a sorted tuple of active indices."""
-    idx = tuple(int(i) for i in S)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"design contains duplicate indices: {idx}")
-    idx = tuple(sorted(idx))
+    idx = Design(S).indices
     for i in idx:
-        if not 0 <= i < p.n_s:
-            raise ValueError(f"candidate index {i} out of range [0, {p.n_s})")
-        if i not in p.active_set:
-            raise ValueError(f"candidate index {i} is inactive (zero forward-map row)")
+        active_position(p, i)
     return idx
+
+
+def candidate_position(p: InverseProblem, i, outside=()) -> int | None:
+    """Position of candidate i in p.active, or None when i is inactive.
+
+    Refuses an index outside [0, n_s) and a member of the design outside.
+    """
+    i = int(i)
+    if not 0 <= i < p.n_s:
+        raise ValueError(f"candidate index {i} out of range [0, {p.n_s})")
+    if i in outside:
+        raise ValueError(f"candidate {i} is already in the design")
+    j = bisect.bisect_left(p.active, i)
+    return j if j < len(p.active) and p.active[j] == i else None
+
+
+def active_position(p: InverseProblem, i, outside=()) -> int:
+    """candidate_position of an index that must also be active."""
+    j = candidate_position(p, i, outside)
+    if j is None:
+        raise ValueError(f"candidate index {int(i)} is inactive (zero forward-map row)")
+    return j
 
 
 @dataclass(eq=False)

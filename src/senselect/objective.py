@@ -21,7 +21,6 @@ of that factorization; DesignState carries the factor rows of its members.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -29,32 +28,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InverseProblem, hessian_preconditioned, validate_design
+from .model import (
+    Design,
+    InverseProblem,
+    active_position,
+    candidate_position,
+    hessian_preconditioned,
+    validate_design,
+)
 from .wspace import Operator
-
-
-@dataclass(frozen=True)
-class Design:
-    """Sorted tuple of distinct 0-based candidate indices."""
-
-    indices: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"design contains duplicate indices: {idx}")
-        if any(i < 0 for i in idx):
-            raise ValueError(f"design contains negative indices: {idx}")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, i) -> bool:
-        return i in self.indices
 
 
 def phi_eig(p: InverseProblem, S) -> float:
@@ -107,16 +89,9 @@ def design_state(p: InverseProblem, S=()) -> DesignState:
     idx = validate_design(p, S)
     kern = SchurKernel(p, len(idx))
     for i in idx:
-        j = bisect.bisect_left(p.active, i)
+        j = candidate_position(p, i)
         kern.add(j, kern.entry(j, j))
     return DesignState(p, Design(idx), phi_eig(p, idx), kern)
-
-
-def _check_candidate(p: InverseProblem, i: int) -> int:
-    i = int(i)
-    if not 0 <= i < p.n_s:
-        raise ValueError(f"candidate index {i} out of range [0, {p.n_s})")
-    return i
 
 
 def overlap(state: DesignState, i, j) -> float:
@@ -128,12 +103,7 @@ def overlap(state: DesignState, i, j) -> float:
     vectors; inactive indices are rejected.
     """
     p = state.problem
-    i = _check_candidate(p, i)
-    j = _check_candidate(p, j)
-    if i not in p.active_set or j not in p.active_set:
-        raise ValueError("overlap is undefined for inactive candidates")
-    pos = bisect.bisect_left
-    return state.kernel.entry(pos(p.active, i), pos(p.active, j))
+    return state.kernel.entry(active_position(p, i), active_position(p, j))
 
 
 def gain(r):
@@ -160,13 +130,8 @@ def marginal_gain(state: DesignState, v) -> float:
     Inactive candidates gain exactly 0 by convention (their sensor vector
     is zero); search loops exclude them up front.
     """
-    p = state.problem
-    v = _check_candidate(p, v)
-    if v in state.design:
-        raise ValueError(f"candidate {v} is already in the design")
-    if v not in p.active_set:
-        return 0.0
-    return gain(overlap(state, v, v))
+    j = candidate_position(state.problem, v, state.design)
+    return 0.0 if j is None else gain(state.kernel.entry(j, j))
 
 
 def marginal_gain_conditioned(state: DesignState, v, w) -> float:
@@ -176,18 +141,16 @@ def marginal_gain_conditioned(state: DesignState, v, w) -> float:
     extended.  A zero-sensor w changes nothing, so the plain gain of v is
     returned in that case.
     """
-    p = state.problem
-    v = _check_candidate(p, v)
-    w = _check_candidate(p, w)
-    if v == w:
+    p, kern = state.problem, state.kernel
+    jv = candidate_position(p, v, state.design)
+    jw = candidate_position(p, w, state.design)
+    if int(v) == int(w):
         raise ValueError("conditioned gain requires two distinct candidates")
-    if v in state.design or w in state.design:
-        raise ValueError("candidates must lie outside the current design")
-    if v not in p.active_set:
+    if jv is None:
         return 0.0
-    if w not in p.active_set:
-        return marginal_gain(state, v)
-    return conditioned_gain(overlap(state, v, v), overlap(state, v, w), overlap(state, w, w))
+    if jw is None:
+        return gain(kern.entry(jv, jv))
+    return conditioned_gain(kern.entry(jv, jv), kern.entry(jv, jw), kern.entry(jw, jw))
 
 
 def extend(state: DesignState, v) -> DesignState:
@@ -197,15 +160,10 @@ def extend(state: DesignState, v) -> DesignState:
     is the Schur residual of v.  The new state copies the factor rows, so
     the state extended stays valid.
     """
-    p = state.problem
-    v = _check_candidate(p, v)
-    if v not in p.active_set:
-        raise ValueError(f"candidate {v} is inactive and cannot be selected")
-    if v in state.design:
-        raise ValueError(f"candidate {v} is already in the design")
+    p, v = state.problem, int(v)
+    j = active_position(p, v, state.design)
     kern = copy.copy(state.kernel)  # shares the whitened vectors and diagonal
     kern.rows = np.concatenate((kern.rows[:kern.t], np.empty((1, kern.rows.shape[1]))))
-    j = bisect.bisect_left(p.active, v)
     r = kern.entry(j, j)
     kern.add(j, r)
     return DesignState(p, Design(state.design.indices + (v,)), state.phi + math.log1p(r), kern)
@@ -228,11 +186,13 @@ class SchurKernel:
 
         e_t = (K[:, j] - sum_{s<t} e_s e_s[j]) / sqrt(1 + r_j),
 
-    one column of K (an n x m product) plus O(t m) work.  Residuals only
-    shrink, also in floating point, so a residual computed at an earlier
-    step bounds the current one from above.  Callers that update residuals
-    themselves subtract e_s[v] * e_s[v] one step at a time, the order that
-    catch_up uses, so every path sees bitwise identical residuals.
+    one column of K (an n x m product) plus O(t m) work.  The row is
+    needed anyway, and every residual follows from it in O(m) by
+    r -= e_t * e_t, so a gain costs nothing beyond the factor row: stale
+    upper bounds (lazy evaluation) would save no work.  Callers that
+    update residuals themselves subtract e_s[v] * e_s[v] one step at a
+    time, the order that entry uses, so every path sees bitwise identical
+    residuals.
     """
 
     def __init__(self, p: InverseProblem, k: int):
@@ -259,10 +219,14 @@ class SchurKernel:
     def entry(self, i: int, j: int) -> float:
         """Schur entry K_ij - sum_s e_s[i] e_s[j] of positions i and j.
 
-        On the diagonal this is the residual, in catch_up's operation order.
+        On the diagonal this is the residual of j, with the rows subtracted
+        one at a time, as greedy's r -= e * e does.
         """
         if i == j:
-            return self.catch_up(float(self.diag[j]), j, 0)
+            r = float(self.diag[j])
+            for e in self.rows[:self.t, j].tolist():
+                r = r - e * e
+            return r
         rows = self.rows[:self.t]
         return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
 
@@ -270,13 +234,7 @@ class SchurKernel:
         """Schur block K[pos, pos] - E[:, pos]' E[:, pos] of the positions pos.
 
         Off the diagonal these are entry's values, up to the rounding of
-        the matrix products; catch_up gives the residuals on the diagonal.
+        the matrix products; the residuals of the diagonal come from entry.
         """
         w, e = self._w[:, pos], self.rows[:self.t, pos]
         return w.T @ w - e.T @ e
-
-    def catch_up(self, r: float, j: int, since: int) -> float:
-        """Residual r of position j, computed after `since` rows, brought up to date."""
-        for e in self.rows[since:self.t, j].tolist():
-            r = r - e * e
-        return r

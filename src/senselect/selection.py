@@ -1,23 +1,22 @@
 """Subset solvers for cardinality-constrained information-gain maximization.
 
-greedy picks the largest marginal gain k times; lazy_greedy reproduces the
-same selections while skipping most gain evaluations by keeping stale
-upper bounds in a heap (valid because gains only shrink as the design
-grows).  exhaustive finds the optimum over every size-k subset, under a
-configurable cap, by a depth-first search in lexicographic order: a node
-holds the Schur residuals of its prefix, so each prefix costs one factor
-row, shared by all of its extensions.  All three run on
-objective.SchurKernel.  Designs whose kernel value lies within TIE_RTOL
-of the best, the steps of greedy and the subsets of exhaustive alike,
-are re-scored by phi_eig, and exact ties go to the lexicographically
-smallest design.  certify_bound attaches the (1 - 1/e) optimality
-certificate that monotonicity plus submodularity guarantee for the
-greedy value.
+greedy picks the largest marginal gain k times; lazy_greedy is the same
+run under its own method name.  Minoux's stale upper bounds would save
+nothing here: every gain falls out of the factor row that a selection
+appends anyway, one O(m) residual update per step.  exhaustive finds the
+optimum over every size-k subset, under a configurable cap, by a
+depth-first search in lexicographic order: a node holds the Schur
+residuals of its prefix, so each prefix costs one factor row, shared by
+all of its extensions.  Both run on objective.SchurKernel.  Designs
+whose kernel value lies within TIE_RTOL of the best, the steps of greedy
+and the subsets of exhaustive alike, are re-scored by phi_eig, and exact
+ties go to the lexicographically smallest design.  certify_bound
+attaches the (1 - 1/e) optimality certificate that monotonicity plus
+submodularity guarantee for the greedy value.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, replace
@@ -68,8 +67,8 @@ class SelectionReport:
     chosen design and eig_final = phi_final / 2 is the expected
     information gain in nats.  wall_time is runtime metadata and is not
     part of the serialized report.  Neither is gain_evals, the number of
-    candidate gains greedy and lazy greedy computed (None for the other
-    methods).
+    candidate gains greedy computed, the same for lazy greedy (None for
+    the other methods).
     """
 
     method: str
@@ -92,15 +91,6 @@ def _check_budget(p: InverseProblem, k: int) -> int:
     return k
 
 
-def _step_checks(gain: float, prev_gain: float) -> None:
-    if gain <= 0.0:
-        raise RuntimeError(f"greedy gain {gain!r} not strictly positive")
-    if gain > prev_gain + GAIN_MONOTONE_TOL:
-        raise RuntimeError(
-            f"greedy gains increased: {prev_gain!r} -> {gain!r}"
-        )
-
-
 def _break_tie(p: InverseProblem, designs: list) -> int:
     """Index of the design that phi_eig scores highest.
 
@@ -111,21 +101,6 @@ def _break_tie(p: InverseProblem, designs: list) -> int:
         return 0
     vals = [objective.phi_eig(p, d) for d in designs]
     return vals.index(max(vals))
-
-
-def _extensions(steps, near: list[int], active) -> list[list[int]]:
-    """The designs of steps plus each near-tied position, in the order of near."""
-    base = [i for i, _, _ in steps]
-    return [base + [active[j]] for j in near]
-
-
-def _take(kern: objective.SchurKernel, steps: list, j: int, r: float) -> np.ndarray:
-    """Record position j, with residual r, as the next step; return its factor row."""
-    gain = math.log1p(r)
-    prev_gain, phi = steps[-1][1:] if steps else (math.inf, 0.0)
-    _step_checks(gain, prev_gain)
-    steps.append((kern.active[j], gain, phi + gain))
-    return kern.add(j, r)
 
 
 def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
@@ -139,54 +114,33 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
     k = _check_budget(p, k)
     kern = objective.SchurKernel(p, k)
     r = kern.diag.copy()
-    steps, evals = [], 0
+    chosen, steps, evals, prev_gain, phi = [], [], 0, math.inf, 0.0
     for t in range(k):
         evals += r.size - t
         near = np.flatnonzero(r >= (1.0 - TIE_RTOL) * r.max()).tolist()
-        j = near[_break_tie(p, _extensions(steps, near, kern.active))]
-        e = _take(kern, steps, j, float(r[j]))
+        j = near[_break_tie(p, [chosen + [kern.active[v]] for v in near])]
+        gain = math.log1p(r[j])
+        if gain <= 0.0:
+            raise RuntimeError(f"greedy gain {gain!r} not strictly positive")
+        if gain > prev_gain + GAIN_MONOTONE_TOL:
+            raise RuntimeError(f"greedy gains increased: {prev_gain!r} -> {gain!r}")
+        prev_gain, phi = gain, phi + gain
+        chosen.append(kern.active[j])
+        steps.append((chosen[-1], gain, phi))
+        e = kern.add(j, float(r[j]))
         r -= e * e
         r[j] = -math.inf  # selected: never near the maximum again
-    return _finish("greedy", p, Design(tuple(i for i, _, _ in steps)), steps, k, t0,
-                   gain_evals=evals)
+    return _finish("greedy", p, Design(chosen), steps, k, t0, gain_evals=evals)
 
 
 def lazy_greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
-    """Greedy with stale upper bounds; selections identical to greedy.
+    """greedy's run, reported under the method name lazy_greedy.
 
-    Heap entries (-r, position, steps) carry the number of factor rows
-    their residual has seen.  A stale entry popped from the top is caught
-    up and pushed back; a fresh entry at the top holds the true maximum,
-    because every other residual only shrinks below its bound.  Entries
-    whose bound reaches within TIE_RTOL of that maximum are refreshed too,
-    so the near-tie set, and with it the pick, is the one plain greedy
-    sees.  threads is accepted for compatibility and ignored.
+    On the Schur kernel a heap of stale bounds saves no work (see the
+    module docstring), so the selections, gains and counts are greedy's.
+    threads is accepted for compatibility and ignored.
     """
-    t0 = time.perf_counter()
-    k = _check_budget(p, k)
-    kern = objective.SchurKernel(p, k)
-    heap = [(-r, j, 0) for j, r in enumerate(kern.diag.tolist())]
-    heapq.heapify(heap)
-    steps, evals = [], len(heap)
-    for t in range(k):
-        floor, near = None, {}
-        while heap and (floor is None or -heap[0][0] >= floor):
-            neg, j, since = heapq.heappop(heap)
-            if since < t:
-                heapq.heappush(heap, (-kern.catch_up(-neg, j, since), j, t))
-                evals += 1
-                continue
-            if floor is None:  # the first fresh entry holds the maximum
-                floor = (1.0 - TIE_RTOL) * -neg
-            near[j] = -neg
-        order = sorted(near)
-        j = order[_break_tie(p, _extensions(steps, order, kern.active))]
-        r = near.pop(j)
-        for v, r_v in near.items():
-            heapq.heappush(heap, (-r_v, v, t))
-        _take(kern, steps, j, r)
-    return _finish("lazy_greedy", p, Design(tuple(i for i, _, _ in steps)), steps, k, t0,
-                   gain_evals=evals)
+    return replace(greedy(p, k, threads), method="lazy_greedy")
 
 
 def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> SelectionReport:

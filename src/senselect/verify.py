@@ -11,7 +11,7 @@ the closed-form gains against from-scratch objective differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,14 @@ EXHAUSTIVE_LIMIT = 10
 # mc_eig maps its draws to data and divergences this many samples at a
 # time, so that only the standard normal draws are held in full
 _MC_BLOCK = 1000
+
+
+def _count(value, lo: int, name: str) -> int:
+    """value as an int, refused below lo, the floor the report reader holds it to."""
+    value = int(value)
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
 def kl_gaussian(p: InverseProblem, post: Posterior):
@@ -77,15 +85,14 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     and its log determinant once, with numpy alone.
 
     An empty design is a fixed point (posterior equals prior, KL is
-    identically zero), so it returns an exact zero estimate.
+    identically zero), so it returns an exact zero estimate.  n_samples
+    must be at least 2, for a standard error, whatever the design.
     """
+    n_samples = _count(n_samples, 2, "n_samples")
     idx = validate_design(p, S)
     seed = int(seed)
     if not idx:
-        return McEigEstimate(int(n_samples), 0.0, 0.0, seed)
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+        return McEigEstimate(n_samples, 0.0, 0.0, seed)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((p.n, n_samples))
     E = rng.standard_normal((len(idx), n_samples))
@@ -137,6 +144,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     strictly positive (above a tiny floor) and to match log(1 + a_vv)
     within an absolute tolerance.  Inactive candidates are never sampled.
     """
+    trials = _count(trials, 0, "trials")
     rng = np.random.default_rng(seed)
     active = np.asarray(p.active)
     if active.size == 0:
@@ -144,7 +152,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     violations = 0
     min_gain = math.inf
     max_err = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         size = int(rng.integers(0, active.size))
         S = tuple(int(i) for i in np.sort(rng.choice(active, size, replace=False)))
         rest = np.asarray([i for i in active if i not in S])
@@ -157,7 +165,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         max_err = max(max_err, err)
         if dense_gain < GAIN_FLOOR or err > FORMULA_TOL:
             violations += 1
-    return MonotoneReport(int(trials), violations, min_gain, max_err)
+    return MonotoneReport(trials, violations, min_gain, max_err)
 
 
 def check_submodular(
@@ -171,16 +179,19 @@ def check_submodular(
     for submodularity).  Both closed forms are also compared against
     from-scratch objective differences.  Randomized mode samples nested
     designs A inside B and a candidate v outside B and checks the
-    diminishing-returns inequality of the definition directly.
+    diminishing-returns inequality of the definition directly.  In both
+    modes max_breach is 0.0 when no pair was checked.
     """
-    active = p.active
+    trials = _count(trials, 0, "trials")
     if mode == "auto":
-        mode = "exhaustive" if len(active) <= EXHAUSTIVE_LIMIT else "random"
+        mode = "exhaustive" if len(p.active) <= EXHAUSTIVE_LIMIT else "random"
     if mode == "exhaustive":
-        return _check_submodular_exhaustive(p)
-    if mode == "random":
-        return _check_submodular_random(p, trials, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        report = _check_submodular_exhaustive(p)
+    elif mode == "random":
+        report = _check_submodular_random(p, trials, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return report if report.checks else replace(report, max_breach=0.0)
 
 
 def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
@@ -189,7 +200,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     phi_eig of every subset is held in a table indexed by the bit mask of
     its positions in p.active.  The designs are visited depth first in
     lexicographic order on one SchurKernel, one add per design, so a
-    design's residuals, the plain gains log1p(a_vv), are catch_up's.  One
+    design's residuals, the plain gains log1p(a_vv), are entry's.  One
     Schur block over the remaining positions gives every a_vw, and with
     it the conditioned gain of every pair at once.
     """
@@ -232,8 +243,6 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
                 visit(t + 1, mask | 1 << j, j + 1)
 
     visit(0, 0, 0)
-    if not math.isfinite(max_breach):
-        max_breach = 0.0
     return SubmodularReport("exhaustive", checks, violations, max_breach, max_err)
 
 
@@ -244,7 +253,7 @@ def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> Submo
         raise ValueError("need at least 2 active candidates")
     checks = violations = 0
     max_breach = -math.inf
-    for _ in range(int(trials)):
+    for _ in range(trials):
         b_size = int(rng.integers(1, active.size))
         B = np.sort(rng.choice(active, b_size, replace=False))
         a_size = int(rng.integers(0, b_size + 1))
@@ -288,7 +297,10 @@ def verification_run(
     seed (seed, seed + 1, seed + 2 for monotonicity, submodularity, and
     the MC estimate).  The MC design is the full active set, and the
     estimate must land within 3 standard errors of half the objective.
+    Both counts are checked before any check runs.
     """
+    _count(trials, 0, "trials")
+    _count(samples, 2, "samples")
     mono = check_monotone(p, trials=trials, seed=seed)
     sub = check_submodular(p, mode="auto", trials=trials, seed=seed + 1)
     design = p.active

@@ -28,6 +28,77 @@ def test_design_sorts_and_validates():
         ss.Design((-1,))
 
 
+def _four_active_of_five():
+    """Five candidates on three parameters; candidate 3 is inactive."""
+    f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    return ss.build_problem(ss.WeightedSpace.euclidean(3), f, np.ones(5), np.zeros(3), np.eye(3))
+
+
+# Entry points that take a design S, and entry points that take a candidate
+# v, the latter on the state of design (1,).  A candidate's "duplicate" is
+# a member of that design.
+_DESIGN_CALLS = {
+    "phi_eig": ss.phi_eig,
+    "eig_nats": ss.eig_nats,
+    "design_state": ss.design_state,
+    "hessian_misfit": ss.hessian_misfit,
+    "hessian_preconditioned": ss.hessian_preconditioned,
+    "posterior": lambda p, S: ss.posterior(p, S, np.zeros(len(S))),
+    "mc_eig": lambda p, S: ss.mc_eig(p, S, 10, 0),
+}
+_CANDIDATE_CALLS = {
+    "overlap(v, 0)": lambda st, v: ss.overlap(st, v, 0),
+    "overlap(0, v)": lambda st, v: ss.overlap(st, 0, v),
+    "marginal_gain": ss.marginal_gain,
+    "marginal_gain_conditioned(v, 0)": lambda st, v: ss.marginal_gain_conditioned(st, v, 0),
+    "marginal_gain_conditioned(0, v)": lambda st, v: ss.marginal_gain_conditioned(st, 0, v),
+    "extend": ss.extend,
+}
+_FAULTS = {  # fault: (bad design, design message, bad candidate, candidate message)
+    "duplicate": ((0, 0), "design contains duplicate indices",
+                  1, "candidate 1 is already in the design"),
+    "negative": ((-1,), "design contains negative indices",
+                 -1, r"candidate index -1 out of range \[0, 5\)"),
+    "out of range": ((5,), r"candidate index 5 out of range \[0, 5\)",
+                     5, r"candidate index 5 out of range \[0, 5\)"),
+    "inactive": ((3,), r"candidate index 3 is inactive \(zero forward-map row\)",
+                 3, r"candidate index 3 is inactive \(zero forward-map row\)"),
+}
+# The documented exceptions to a refusal: a member's coefficient a_1v is
+# defined, and an inactive candidate has a zero sensor vector, so it gains
+# nothing and changes no other gain.
+_ACCEPTED = {
+    ("overlap(v, 0)", "duplicate"): lambda st, got: got == ss.overlap(st, 1, 0),
+    ("overlap(0, v)", "duplicate"): lambda st, got: got == ss.overlap(st, 0, 1),
+    ("marginal_gain", "inactive"): lambda st, got: got == 0.0,
+    ("marginal_gain_conditioned(v, 0)", "inactive"): lambda st, got: got == 0.0,
+    ("marginal_gain_conditioned(0, v)", "inactive"):
+        lambda st, got: got == ss.marginal_gain(st, 0),
+}
+
+
+@pytest.mark.parametrize("call, fault", [
+    (call, fault) for call in (*_DESIGN_CALLS, *_CANDIDATE_CALLS) for fault in _FAULTS
+])
+def test_one_validator_message_per_fault(call, fault):
+    """Every public entry point refuses each fault with the same message,
+    raised in model.py by validate_design, Design or the candidate check."""
+    p = _four_active_of_five()
+    design, design_msg, v, candidate_msg = _FAULTS[fault]
+    if call in _DESIGN_CALLS:
+        run, msg = (lambda: _DESIGN_CALLS[call](p, design)), design_msg
+    else:
+        st = ss.design_state(p, (1,))
+        run, msg = (lambda: _CANDIDATE_CALLS[call](st, v)), candidate_msg
+        if (call, fault) in _ACCEPTED:
+            assert _ACCEPTED[call, fault](st, run())
+            return
+    with pytest.raises(ValueError, match=msg) as exc:
+        run()
+    assert exc.traceback[-1].path.name == "model.py"
+
+
 def test_phi_empty_design_is_exactly_zero():
     p = identity_problem(3)
     assert ss.phi_eig(p, ()) == 0.0

@@ -92,6 +92,41 @@ def test_mc_rejects_tiny_sample_counts():
         ss.mc_eig(p, (0,), n_samples=1, seed=0)
 
 
+def test_counts_below_the_report_floor_are_refused(monkeypatch):
+    """The library refuses the counts that read_report refuses in a file.
+
+    mc_eig checks its count before the empty-design shortcut, and
+    verification_run checks both counts before its first check runs.
+    """
+    p = random_problem(np.random.default_rng(94), 3, 5)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        ss.check_monotone(p, trials=-1)
+    for mode in ("random", "exhaustive"):
+        with pytest.raises(ValueError, match="trials must be at least 0"):
+            ss.check_submodular(p, mode=mode, trials=-2)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        ss.mc_eig(p, (), -5, 0)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a property check ran before the counts were checked")
+
+    monkeypatch.setattr(verify, "check_monotone", must_not_run)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        ss.verification_run(p, trials=-1)
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        ss.verification_run(p, samples=1)
+
+
+@pytest.mark.parametrize("mode, problem", [
+    ("random", lambda: random_problem(np.random.default_rng(95), 4, 12)),
+    ("exhaustive", scalar_problem),
+], ids=["random", "exhaustive"])
+def test_no_pair_checked_reads_zero_breach(mode, problem):
+    rep = ss.check_submodular(problem(), mode=mode, trials=0)
+    assert (rep.mode, rep.checks, rep.violations) == (mode, 0, 0)
+    assert rep.max_breach == 0.0
+
+
 def test_mc_scalar_matches_analytic_value():
     p = scalar_problem()
     est = ss.mc_eig(p, (0,), n_samples=4000, seed=101)
