@@ -6,6 +6,9 @@ for parse errors (non-finite problem data and non-ASCII bytes included)
 and for files that cannot be read or written, 3 for invariant
 violations, 4 when an enumeration cap is exceeded, and 5 for property
 violations, including a greedy gain that is not positive or that rises.
+
+Each command imports the modules it runs when it runs, so gen and eval
+load neither the solvers nor the checks.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fileio, problems, selection, verify
-from . import objective
+from . import fileio
 
 _FMT12 = "#.12g"
 
@@ -40,6 +42,8 @@ def _parse_subset(text: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args) -> int:
+    from . import objective
+
     p = fileio.read_problem(args.problem)
     subset = _parse_subset(args.subset)
     phi = objective.phi_eig(p, subset)
@@ -48,7 +52,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _emit_selection(report: selection.SelectionReport, out) -> int:
+def _emit_selection(report, out) -> int:
     """Print the report and, when out is set, write it there."""
     if report.per_step:
         print(f"{'step':>4} {'sensor':>6} {'gain':>18} {'phi':>18}")
@@ -70,22 +74,35 @@ def _emit_selection(report: selection.SelectionReport, out) -> int:
     return 0
 
 
+def _cap(args) -> int:
+    """--cap, or selection's default when the flag is absent."""
+    from .selection import EXHAUSTIVE_CAP
+
+    return EXHAUSTIVE_CAP if args.cap is None else args.cap
+
+
 def cmd_greedy(args) -> int:
+    from . import selection
+
     p = fileio.read_problem(args.problem)
     run = selection.lazy_greedy if args.lazy else selection.greedy
     report = run(p, args.k, threads=args.threads)
     if args.certify:
-        opt = selection.exhaustive(p, args.k, cap=args.cap)
+        opt = selection.exhaustive(p, args.k, cap=_cap(args))
         report = selection.certify_bound(report, opt)
     return _emit_selection(report, args.out)
 
 
 def cmd_exhaustive(args) -> int:
+    from . import selection
+
     p = fileio.read_problem(args.problem)
-    return _emit_selection(selection.exhaustive(p, args.k, cap=args.cap), args.out)
+    return _emit_selection(selection.exhaustive(p, args.k, cap=_cap(args)), args.out)
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     p = fileio.read_problem(args.problem)
     summary = verify.verification_run(
         p, trials=args.trials, samples=args.samples, seed=args.seed
@@ -116,6 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import problems
+
     nodes = None
     if args.sensor_nodes is not None:
         nodes = tuple(fileio._int(t.strip(), "--sensor-nodes")
@@ -159,14 +178,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out", help="write a report file")
     pg.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility and ignored; selection runs serially")
-    pg.add_argument("--cap", type=int, default=selection.EXHAUSTIVE_CAP,
+    pg.add_argument("--cap", type=int, default=None,
                     help="subset cap for --certify")
     pg.set_defaults(func=cmd_greedy)
 
     px = sub.add_parser("exhaustive", help="exact optimum over all size-k subsets")
     px.add_argument("problem")
     px.add_argument("k", type=int)
-    px.add_argument("--cap", type=int, default=selection.EXHAUSTIVE_CAP)
+    px.add_argument("--cap", type=int, default=None)
     px.add_argument("--out", help="write a report file")
     px.set_defaults(func=cmd_exhaustive)
 
@@ -202,13 +221,13 @@ def main(argv=None) -> int:
     except (fileio.ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except selection.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RuntimeError as exc:
-        # BoundViolationError and the greedy gain guards of selection
+        # CapExceededError exits 4; BoundViolationError and the greedy gain
+        # guards of selection exit 5.  Only selection raises any of them.
+        from .selection import CapExceededError
+
         print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return 4 if isinstance(exc, CapExceededError) else 5
     except ValueError as exc:
         # includes numpy.linalg.LinAlgError; these are model invariant breaches
         print(f"error: {exc}", file=sys.stderr)

@@ -26,23 +26,29 @@ tool_version, problem_hash, timestamp) followed by the payload.  The
 timestamp is "unset" unless SOURCE_DATE_EPOCH is present in the
 environment, so identical runs write byte-identical files; wall-clock
 runtime is never serialized.
+
+The report payload classes come from selection and verify, and datetime
+formats the timestamp; all three are imported on first use, so reading
+and writing problem files loads neither solver nor checks.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import partial
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import InverseProblem, build_problem
-from .objective import Design
-from .selection import GUARANTEE_FLOOR, Certificate, SelectionReport, certificate_ratio
-from .verify import McEigEstimate, MonotoneReport, SubmodularReport, VerificationSummary
+from .model import Design, InverseProblem, build_problem
 from .wspace import WeightedSpace
+
+if TYPE_CHECKING:
+    from .selection import SelectionReport
+    from .verify import VerificationSummary
 
 SCHEMA_VERSION = "1"
 TOOL_VERSION = "0.1.0"
@@ -248,6 +254,8 @@ def default_timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return "unset"
+    from datetime import datetime, timezone
+
     return datetime.fromtimestamp(int(epoch), timezone.utc).isoformat()
 
 
@@ -344,6 +352,8 @@ def _certificate_fault(cert, seen) -> str | None:
     """A certificate holds the ratio certify_bound gives phi_final and opt_phi."""
     if cert is None:
         return None
+    from .selection import GUARANTEE_FLOOR, certificate_ratio
+
     try:
         ratio = certificate_ratio(seen["phi_final"], cert.opt_phi)
     except ZeroDivisionError:
@@ -381,7 +391,7 @@ _SELECTION = (
     ("eig_final", _checked(_FLOAT, _eig_fault), "eig_final"),
     ("certificate", _checked(_unset_or(
         lambda c: [[_fmt(c.opt_phi), _fmt(c.ratio), _fmt(c.floor)]],
-        lambda toks, key, lineno, *_: Certificate(*_floats(lineno, toks, 3, key).tolist())),
+        lambda toks, key, lineno, *_: _certificate(*_floats(lineno, toks, 3, key).tolist())),
         _certificate_fault), "bound_certificate"),
     ("steps", (
         lambda steps: [[str(len(steps))],
@@ -410,7 +420,15 @@ _VERIFICATION = (
 )
 
 
+def _certificate(*fields):
+    from .selection import Certificate
+
+    return Certificate(*fields)
+
+
 def _verification_summary(v) -> VerificationSummary:
+    from .verify import McEigEstimate, MonotoneReport, SubmodularReport, VerificationSummary
+
     def part(cls, name, **more):
         return cls(**{a[len(name) + 1:]: x for a, x in v.items() if a.startswith(name + ".")},
                    **more)
@@ -420,13 +438,30 @@ def _verification_summary(v) -> VerificationSummary:
         v["mc_design"], v["mc_target"], v["mc_ok"], v["seed"])
 
 
-# kind -> payload type, field table, and payload from (values, problem hash)
+def _selection_report(v, problem_hash) -> SelectionReport:
+    from .selection import SelectionReport
+
+    return SelectionReport(**v, problem_hash=problem_hash)
+
+
+# kind -> payload class (its module and name), field table, and payload
+# from (values, problem hash)
 _KINDS = {
-    "selection": (SelectionReport, _SELECTION,
-                  lambda v, problem_hash: SelectionReport(**v, problem_hash=problem_hash)),
-    "verification": (VerificationSummary, _VERIFICATION,
+    "selection": ("selection", "SelectionReport", _SELECTION, _selection_report),
+    "verification": ("verify", "VerificationSummary", _VERIFICATION,
                      lambda v, problem_hash: _verification_summary(v)),
 }
+
+
+def _kind_of(payload) -> str | None:
+    """The report kind of payload.  A payload class whose module was never
+    imported has no instances, so no module is imported to find out."""
+    for kind, (module, name, _, _) in _KINDS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(payload, getattr(loaded, name)):
+            return kind
+    return None
+
 
 _HEADER = (
     ("report", _scalar(partial(_choice, tuple(_KINDS))), "kind"),
@@ -453,7 +488,7 @@ def _load_fields(lines: _Lines, table) -> dict:
 
 def report_text(payload, problem_hash: str | None = None, tool_version: str = TOOL_VERSION,
                 timestamp: str | None = None) -> str:
-    kind = next((k for k, (cls, _, _) in _KINDS.items() if isinstance(payload, cls)), None)
+    kind = _kind_of(payload)
     if kind is None:
         raise TypeError(f"cannot serialize report payload of type {type(payload)!r}")
     if kind == "selection":
@@ -463,7 +498,7 @@ def report_text(payload, problem_hash: str | None = None, tool_version: str = TO
     head = ReportFile(kind, payload, tool_version, problem_hash,
                       default_timestamp() if timestamp is None else timestamp)
     out = [f"schema_version {SCHEMA_VERSION}", *_dump_fields(_HEADER, head),
-           *_dump_fields(_KINDS[kind][1], payload)]
+           *_dump_fields(_KINDS[kind][2], payload)]
     return "\n".join(out) + "\n"
 
 
@@ -477,7 +512,7 @@ def parse_report_text(text: str) -> ReportFile:
     lines = _Lines(text)
     _expect_schema(lines)
     head = _load_fields(lines, _HEADER)
-    _, table, build = _KINDS[head["kind"]]
+    _, _, table, build = _KINDS[head["kind"]]
     payload = build(_load_fields(lines, table), head["problem_hash"])
     lines.end()
     return ReportFile(payload=payload, **head)

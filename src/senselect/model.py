@@ -23,7 +23,6 @@ inactive at construction.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,6 +126,8 @@ class InverseProblem:
 
     def content_hash(self) -> str:
         """Stable hex digest of the mathematical content of the problem."""
+        import hashlib  # on first use: gen and eval never hash a problem
+
         h = hashlib.sha256()
         h.update(b"senselect-problem-v1")
         for tag, arr in (

@@ -86,11 +86,18 @@ class DesignState:
 
 
 def design_state(p: InverseProblem, S=()) -> DesignState:
+    """The state of design S: its members' factor rows, added in index order.
+
+    Each member's residual comes from a residual vector updated as greedy
+    updates its own, r -= e * e, which gives entry's floats bit for bit.
+    """
     idx = validate_design(p, S)
     kern = SchurKernel(p, len(idx))
+    r = kern.diag.copy()
     for i in idx:
         j = candidate_position(p, i)
-        kern.add(j, kern.entry(j, j))
+        e = kern.add(j, float(r[j]))
+        r -= e * e
     return DesignState(p, Design(idx), phi_eig(p, idx), kern)
 
 
@@ -203,6 +210,7 @@ class SchurKernel:
         self._w = p.space.whitening_factor.T @ vecs
         # K_vv for every position: the residuals before any selection
         self.diag = np.einsum("ij,ij->j", self._w, self._w)
+        self.n = p.n
         self.rows = np.empty((k, len(self.active)))
         self.t = 0
 
@@ -230,11 +238,13 @@ class SchurKernel:
         rows = self.rows[:self.t]
         return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
 
-    def block(self, pos) -> np.ndarray:
-        """Schur block K[pos, pos] - E[:, pos]' E[:, pos] of the positions pos.
+    def block(self, pos, cols=None) -> np.ndarray:
+        """Schur block K[pos, cols] - E[:, pos]' E[:, cols]; cols defaults to pos.
 
         Off the diagonal these are entry's values, up to the rounding of
         the matrix products; the residuals of the diagonal come from entry.
         """
         w, e = self._w[:, pos], self.rows[:self.t, pos]
-        return w.T @ w - e.T @ e
+        if cols is None:
+            return w.T @ w - e.T @ e
+        return w.T @ self._w[:, cols] - e.T @ self.rows[:self.t, cols]

@@ -4,10 +4,12 @@ greedy picks the largest marginal gain k times; lazy_greedy is the same
 run under its own method name.  Minoux's stale upper bounds would save
 nothing here: every gain falls out of the factor row that a selection
 appends anyway, one O(m) residual update per step.  exhaustive finds the
-optimum over every size-k subset, under a configurable cap, by a
-depth-first search in lexicographic order: a node holds the Schur
-residuals of its prefix, so each prefix costs one factor row, shared by
-all of its extensions.  Both run on objective.SchurKernel.  Designs
+optimum over every size-k subset, under a configurable cap on their
+number, by branch and bound in lexicographic order: a node holds the
+Schur residuals of its prefix, so each prefix costs one factor row,
+shared by all of its extensions, and submodularity bounds what any
+extension can add, so a prefix that cannot reach the tie band is never
+extended.  Both run on objective.SchurKernel.  Designs
 whose kernel value lies within TIE_RTOL of the best, the steps of greedy
 and the subsets of exhaustive alike, are re-scored by phi_eig, and exact
 ties go to the lexicographically smallest design.  certify_bound
@@ -147,11 +149,12 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
     """Exact optimum over all size-k subsets of the active candidates.
 
     Strict monotonicity means nothing smaller than size k can win, so only
-    size-k subsets are searched, depth first in lexicographic order (see
-    _near_optimal).  The subsets whose kernel phi lies within a relative
-    TIE_RTOL of the best are re-scored by phi_eig in that order, keeping
-    strict improvements, so the reported optimum is the lexicographically
-    smallest maximizer of phi_eig.
+    size-k subsets are searched, by branch and bound in lexicographic
+    order (see _near_optimal).  The subsets whose kernel phi lies within a
+    relative TIE_RTOL of the best are re-scored by phi_eig in that order,
+    keeping strict improvements, so the reported optimum is the
+    lexicographically smallest maximizer of phi_eig.  cap bounds the
+    number C(|active|, k) of size-k subsets, not the nodes visited.
     """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
@@ -170,45 +173,138 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
 def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
 
-    Depth-first over the prefixes in lexicographic order.  Depth t holds
-    the Schur residuals res[t] and the phi of a t-element prefix;
+    Branch and bound over the prefixes in lexicographic order.  Depth t
+    holds the Schur residuals res[t] and the phi of a t-element prefix;
     descending to position j appends j's factor row e through the
     SchurKernel.add that greedy calls, and the child has residuals
-    res[t] - e * e and phi + log1p(res[t][j]).  At depth k - 1 every leaf
-    extension is scored at once.  The band keeps its sets in lexicographic
-    order and drops those left behind whenever the best rises.
+    res[t] - e * e and phi + log1p(res[t][j]).
+
+    By submodularity no extension of a prefix gains more than the sum of
+    the q largest log1p residuals among the positions after it, q being
+    the number of elements still to choose.  A node's children get that
+    bound from their own residuals, all at once (_child_bounds), and a
+    child whose phi plus bound stays below the tie floor
+    (1 - TIE_RTOL) * best is never entered; comparing with the floor, not
+    with best, keeps every member of the band.  The incumbent best starts
+    from a greedy pass on the same kernel.  Every comparison gives way by
+    _rounding_margin, which bounds how far two evaluations of one design's
+    kernel phi can differ.
+
+    At depth k - 2 one Schur block K[C, R] - E[:, C]' E[:, R] over the
+    children C whose best leaf can reach the floor and the positions R
+    after them scores every (child, grandchild) leaf at once.  The band
+    keeps its sets in lexicographic order and drops those left behind
+    whenever the best rises.
     """
     if k == 0:
         return [()]
+    if k == 1:
+        vals = np.log1p(kern.diag)
+        return [(j,) for j in np.flatnonzero(vals >= (1.0 - TIE_RTOL) * vals.max()).tolist()]
     m = len(kern.active)
-    res = np.empty((k, m))
+    margin = _rounding_margin(kern, k)
+    best = _greedy_value(kern, k) - margin
+    floor = (1.0 - TIE_RTOL) * best
+    res = np.empty((k - 1, m))
     res[0] = kern.diag
-    phi, path, nxt = [0.0] * k, [0] * k, [0] * k
-    best, floor, band = -math.inf, -math.inf, []
+    phi, path, nxt = [0.0] * (k - 1), [0] * (k - 1), [0] * (k - 1)
+    # depth t < k - 2: its children, their bounds, and the next one to try
+    kids, bounds, at = [None] * (k - 2), [None] * (k - 2), [0] * (k - 2)
+    if k > 2:
+        kern.t = 0
+        kids[0], bounds[0] = _child_bounds(kern, res[0], 0, k)
+    band = []
     t = 0
     while t >= 0:
         r, j = res[t], nxt[t]
-        if t == k - 1:
-            vals = phi[t] + np.log1p(r[j:])
-            top = float(vals.max())
-            if top > best:
-                best, floor = top, (1.0 - TIE_RTOL) * top
-                band = [(v, s) for v, s in band if v >= floor]
-            prefix = tuple(path[:t])
-            band += [(float(vals[i]), prefix + (j + i,))
-                     for i in np.flatnonzero(vals >= floor).tolist()]
+        cut = floor - margin - phi[t]
+        if t == k - 2:
+            # children c in [j, m - 2] whose best grandchild can reach the floor
+            g = np.log1p(r)
+            after = np.maximum.accumulate(g[:j:-1])[::-1]  # max of g[c + 1:] for c >= j
+            leaf_kids = j + np.flatnonzero(g[j:m - 1] + after >= cut)
+            if leaf_kids.size:
+                kern.t = t
+                cols = np.arange(leaf_kids[0] + 1, m)
+                e = kern.block(leaf_kids, cols) / np.sqrt(1.0 + r[leaf_kids])[:, None]
+                up = [phi[t] + math.log1p(x) for x in r[leaf_kids].tolist()]
+                vals = np.array(up)[:, None] + np.log1p(r[cols] - e * e)
+                vals[cols <= leaf_kids[:, None]] = -math.inf
+                top = float(vals.max())
+                if top > best:
+                    best, floor = top, (1.0 - TIE_RTOL) * top
+                    band = [(v, s) for v, s in band if v >= floor]
+                prefix = tuple(path[:t])
+                for a, b in zip(*np.nonzero(vals >= floor)):
+                    band.append((float(vals[a, b]), prefix + (int(leaf_kids[a]), int(cols[b]))))
             t -= 1
-        elif j > m - k + t:  # too few positions left after j
+            continue
+        live = np.flatnonzero(bounds[t][at[t]:] >= cut)
+        if not live.size:
             t -= 1
-        else:
-            nxt[t], path[t] = j + 1, j
+            continue
+        i = at[t] + int(live[0])
+        at[t] = i + 1
+        c = path[t] = int(kids[t][i])
+        kern.t = t
+        e = kern.add(c, float(r[c]))
+        np.subtract(r, e * e, out=res[t + 1])
+        phi[t + 1] = phi[t] + math.log1p(r[c])
+        nxt[t + 1] = c + 1
+        t += 1
+        if t < k - 2:
+            kern.t = t
+            kids[t], bounds[t] = _child_bounds(kern, res[t], c + 1, k - t)
+            at[t] = 0
+    return [s for _, s in band]
+
+
+def _child_bounds(kern: objective.SchurKernel, r: np.ndarray, j: int, q: int):
+    """Children of a node and the most each of them can add, from one Schur block.
+
+    The node sits at depth kern.t with residuals r, its children are the
+    positions c in [j, m - q], and q elements are still to choose.  Row c
+    of the block K[C, R] - E[:, C]' E[:, R] over the positions R after j,
+    scaled by 1 / sqrt(1 + r_c), is c's factor row, so child c has the
+    residuals r - e_c * e_c, and its bound is log1p(r_c) plus the q - 1
+    largest log1p residuals of its own after c.
+    """
+    m = r.size
+    kids = np.arange(j, m - q + 1)
+    cols = np.arange(j + 1, m)
+    e = kern.block(kids, cols) / np.sqrt(1.0 + r[kids])[:, None]
+    g = np.log1p(r[cols] - e * e)
+    g[cols <= kids[:, None]] = -math.inf  # only the positions after each child
+    top = np.partition(g, cols.size - q + 1, axis=1)[:, cols.size - q + 1:].sum(axis=1)
+    return kids, np.log1p(r[kids]) + top
+
+
+def _greedy_value(kern: objective.SchurKernel, k: int) -> float:
+    """Kernel phi of a plain greedy pass of k steps, rows written from 0."""
+    r = kern.diag.copy()
+    phi = 0.0
+    for t in range(k):
+        j = int(np.argmax(r))
+        phi += math.log1p(r[j])
+        if t < k - 1:
             kern.t = t
             e = kern.add(j, float(r[j]))
-            np.subtract(r, e * e, out=res[t + 1])
-            phi[t + 1] = phi[t] + math.log1p(r[j])
-            nxt[t + 1] = j + 1
-            t += 1
-    return [s for _, s in band]
+            r -= e * e
+            r[j] = -math.inf
+    return phi
+
+
+def _rounding_margin(kern: objective.SchurKernel, k: int) -> float:
+    """How far two evaluations of one size-k design's kernel phi can differ.
+
+    Each of the k log1p terms takes a residual that a Cholesky step of
+    dimension at most n + k rounds by at most (n + k) eps (1 + max K_vv)
+    to first order, and log1p has slope at most 1; the k-term sum adds
+    k eps phi, which that bound already covers.  Two evaluations, in two
+    orders or along two paths, differ by at most twice one error.
+    """
+    eps = np.finfo(float).eps
+    return 2.0 * k * (kern.n + k) * eps * (1.0 + float(kern.diag.max(initial=0.0)))
 
 
 def random_baseline(p: InverseProblem, k: int, seed: int) -> SelectionReport:

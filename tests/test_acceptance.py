@@ -7,6 +7,7 @@ criterion 9 revisits exactly the instances of criteria 2 through 4.
 Run with -s to see the informational summary lines.
 """
 
+import importlib
 import itertools
 import math
 import os
@@ -306,3 +307,58 @@ for argv in (
 assert "scipy" not in sys.modules, "a CLI session loaded scipy"
 """
     _run_python(["-c", code], tmp_path)
+
+
+def _modules_loaded(argv, cwd):
+    """The senselect modules that `python -m senselect ARGV` loads, sorted.
+
+    runpy.run_module runs the package as `python -m` does, in a fresh
+    interpreter; the modules are listed once the command has returned.
+    """
+    code = f"""
+import runpy, sys
+sys.argv = ["senselect", *{argv!r}]
+try:
+    runpy.run_module("senselect", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "senselect")))
+"""
+    return _run_python(["-c", code], cwd).splitlines()[-1].split()
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """gen and eval load neither the solvers nor the checks, greedy not the
+    checks and verify not the solvers, report files included.
+
+    Every process compiles what it imports when no bytecode is cached, so
+    a top-level import of the solvers or the checks would cost every
+    command their load time.
+    """
+    runs = [
+        (["gen", "--kind", "chain", "--n", "20", "--n-s", "10", "--seed", "7", "--out", "c.prob"],
+         "problems", ("selection", "verify", "objective")),
+        (["eval", "c.prob", "1,2,10"], "objective", ("selection", "verify", "problems")),
+        (["greedy", "c.prob", "3", "--certify", "--out", "g.report"], "selection",
+         ("verify", "problems")),
+        (["verify", "c.prob", "--trials", "3", "--samples", "100", "--out", "v.report"], "verify",
+         ("selection", "problems")),
+    ]
+    for argv, runs_on, absent in runs:
+        loaded = set(_modules_loaded(argv, tmp_path))
+        assert {"senselect.fileio", f"senselect.{runs_on}"} <= loaded, loaded
+        assert not {f"senselect.{name}" for name in absent} & loaded, (argv[0], loaded)
+
+
+def test_package_root_loads_its_exports_on_first_access():
+    """Every re-exported name resolves to its module's object, and dir()
+    lists __all__ and the modules, as when the root imported every module."""
+    for module, names in ss._EXPORTS.items():
+        mod = importlib.import_module(f"senselect.{module}")
+        assert getattr(ss, module) is mod
+        for name in names:
+            assert getattr(ss, name) is getattr(mod, name)
+    assert len(ss.__all__) == 1 + sum(map(len, ss._EXPORTS.values()))
+    assert {*ss.__all__, *ss._EXPORTS} <= set(dir(ss))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ss.no_such_name  # noqa: B018

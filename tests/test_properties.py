@@ -15,6 +15,7 @@ from senselect import fileio
 from senselect.selection import certificate_ratio
 
 from conftest import random_problem
+from test_selection import assert_band_matches_reference
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=60, deadline=None)
 
@@ -55,6 +56,22 @@ def test_extend_chain_gain_equals_phi_difference(p, data):
 def test_greedy_and_lazy_greedy_per_step_bitwise_equal(p, data):
     k = data.draw(st.integers(0, len(p.active)))
     assert ss.lazy_greedy(p, k).per_step == ss.greedy(p, k).per_step
+
+
+@st.composite
+def chains(draw):
+    """Chains of n <= 40 nodes with up to 12 sensors, duplicated nodes allowed."""
+    n = draw(st.integers(4, 40))
+    nodes = draw(st.lists(st.integers(1, n - 2), min_size=1, max_size=12))
+    return ss.generate(ss.ProblemSpec("chain", n=n, n_s=len(nodes), seed=0,
+                                      sensor_nodes=tuple(nodes)))
+
+
+@PROPERTY
+@given(st.one_of(problems(), chains()), st.data())
+def test_branch_and_bound_keeps_the_tie_band(p, data):
+    """The pruned search returns the band of the search without bounds."""
+    assert_band_matches_reference(p, data.draw(st.integers(0, len(p.active))))
 
 
 @PROPERTY

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
+from senselect import objective, selection
 
 from conftest import identity_problem, random_problem, report_fields, three_sensor_problem
 
@@ -257,8 +258,8 @@ def test_exhaustive_permutation_invariance():
     assert mapped == r_p.chosen.indices
 
 
-def _chain(n, n_s, nodes=None):
-    return ss.generate(ss.ProblemSpec("chain", n=n, n_s=n_s, seed=0, sensor_nodes=nodes))
+def _chain(n, n_s, nodes=None, seed=0):
+    return ss.generate(ss.ProblemSpec("chain", n=n, n_s=n_s, seed=seed, sensor_nodes=nodes))
 
 
 def _with_inactive(p, dead):
@@ -296,6 +297,99 @@ def test_exhaustive_matches_brute_force(problem, budgets):
         assert r.chosen.indices == chosen
         assert r.per_step == per_step
         assert r.phi_final == ss.phi_eig(p, chosen)
+        assert_band_matches_reference(p, k)
+
+
+def near_optimal_reference(kern, k):
+    """The tie band as the depth-first search without bounds finds it.
+
+    exhaustive's search before branch and bound, kept as the reference:
+    every prefix appends one factor row, and at depth k - 1 every leaf
+    extension is scored at once.
+    """
+    if k == 0:
+        return [()]
+    m = len(kern.active)
+    res = np.empty((k, m))
+    res[0] = kern.diag
+    phi, path, nxt = [0.0] * k, [0] * k, [0] * k
+    best, floor, band = -math.inf, -math.inf, []
+    t = 0
+    while t >= 0:
+        r, j = res[t], nxt[t]
+        if t == k - 1:
+            vals = phi[t] + np.log1p(r[j:])
+            top = float(vals.max())
+            if top > best:
+                best, floor = top, (1.0 - selection.TIE_RTOL) * top
+                band = [(v, s) for v, s in band if v >= floor]
+            prefix = tuple(path[:t])
+            band += [(float(vals[i]), prefix + (j + i,))
+                     for i in np.flatnonzero(vals >= floor).tolist()]
+            t -= 1
+        elif j > m - k + t:  # too few positions left after j
+            t -= 1
+        else:
+            nxt[t], path[t] = j + 1, j
+            kern.t = t
+            e = kern.add(j, float(r[j]))
+            np.subtract(r, e * e, out=res[t + 1])
+            phi[t + 1] = phi[t] + math.log1p(r[j])
+            nxt[t + 1] = j + 1
+            t += 1
+    return [s for _, s in band]
+
+
+def assert_band_matches_reference(p, k):
+    """Branch and bound keeps the reference's band: the same sets, in the same order."""
+    band = selection._near_optimal(objective.SchurKernel(p, k), k)
+    assert band == near_optimal_reference(objective.SchurKernel(p, k), k)
+    return band
+
+
+@pytest.mark.parametrize("problem, k", [
+    (lambda: _chain(20, 10, None, seed=7), 3),  # README's chain
+    (lambda: _chain(100, 24), 5),
+    (lambda: _chain(60, 20), 3),
+    (lambda: _chain(40, 16, (3, 3, 6, 9, 9, 12, 3, 20, 20, 25, 30, 33, 33, 35, 8, 8)), 4),
+    (lambda: identity_problem(8), 4),  # all 70 designs tie
+], ids=["readme-chain", "chain-100x24", "chain-60", "duplicated-nodes", "identity-all-tie"])
+def test_branch_and_bound_keeps_the_band_on_mirror_chains_duplicates_and_ties(problem, k):
+    p = problem()
+    band = assert_band_matches_reference(p, k)
+    if p.n_s == 8:
+        assert len(band) == math.comb(8, 4)
+
+
+def _factor_rows(monkeypatch, run):
+    """SchurKernel.add calls made by run()."""
+    calls = []
+    add = objective.SchurKernel.add
+
+    def counted(self, j, r_j):
+        calls.append(j)
+        return add(self, j, r_j)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(objective.SchurKernel, "add", counted)
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("spec, most", [
+    (ss.ProblemSpec("random", n=40, n_s=24, seed=5), 100),
+    (ss.ProblemSpec("random", n=40, n_s=24, seed=6), 100),
+    (ss.ProblemSpec("chain", n=100, n_s=24, seed=5), 2000),
+], ids=["random-40x24-seed5", "random-40x24-seed6", "chain-100x24"])
+def test_branch_and_bound_prunes_factor_rows(monkeypatch, spec, most):
+    """Counted, not timed: the search without bounds appends 10,625 rows here."""
+    p = ss.generate(spec)
+    rows = _factor_rows(monkeypatch, lambda: selection._near_optimal(
+        objective.SchurKernel(p, 5), 5))
+    assert rows <= most
+    full = _factor_rows(monkeypatch, lambda: near_optimal_reference(
+        objective.SchurKernel(p, 5), 5))
+    assert full == 10_625
 
 
 def test_certify_three_sensor_ratio_is_exactly_one():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import verify
+from senselect import objective, verify
 
 from conftest import (
     identity_problem,
@@ -125,6 +125,98 @@ def test_no_pair_checked_reads_zero_breach(mode, problem):
     rep = ss.check_submodular(problem(), mode=mode, trials=0)
     assert (rep.mode, rep.checks, rep.violations) == (mode, 0, 0)
     assert rep.max_breach == 0.0
+
+
+def test_no_trial_reads_zero_min_gain():
+    """An extreme over no trial reads 0.0, as max_breach does."""
+    rep = ss.check_monotone(random_problem(np.random.default_rng(95), 4, 12), trials=0)
+    assert rep == ss.MonotoneReport(trials=0, violations=0, min_gain=0.0, max_formula_err=0.0)
+
+
+def test_reference_phi_matches_phi_eig_on_both_gram_sides():
+    """Designs smaller and larger than n, on ill-conditioned instances.
+
+    Each value, from either side, is a Cholesky factorization of
+    dimension at most n + s whose entries are bounded by 1 + max K_vv, so
+    to first order each errs by at most (n + s) eps (1 + max K_vv), and
+    the two by at most twice that.
+    """
+    eps = np.finfo(float).eps
+    for seed in range(96, 101):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        p = random_problem(rng, n, 3 * n + 4, cond=1e4)
+        w = p.space.whitening_factor.T @ p.precond_vecs
+        big = 1.0 + float(np.max(np.sum(w * w, axis=0)))
+        sizes = [0, 1, n - 1, n, n + 1, p.n_s, *rng.integers(0, p.n_s + 1, 20).tolist()]
+        designs = [tuple(rng.choice(p.n_s, s, replace=False).tolist()) for s in sizes]
+        assert {len(d) > n for d in designs} == {False, True}
+        got = verify._reference_phi(p, designs)
+        for d, value in zip(designs, got.tolist()):
+            assert abs(value - ss.phi_eig(p, d)) <= 2.0 * (n + len(d)) * eps * big
+        assert got[0] == 0.0
+        # a design's order does not matter, and equal designs get equal values
+        again = verify._reference_phi(p, [d[::-1] for d in designs])
+        assert again.tolist() == got.tolist()
+
+
+def _parent_draws(p, trials, seed, monotone):
+    """The designs the sampled checks evaluated before their values were batched,
+    drawn one trial at a time: (S, S + v) per monotone trial, (A + v, A, B + v, B)
+    per submodular one."""
+    rng = np.random.default_rng(seed)
+    active = np.asarray(p.active)
+    out = []
+    for _ in range(trials):
+        if monotone:
+            size = int(rng.integers(0, active.size))
+            S = tuple(int(i) for i in np.sort(rng.choice(active, size, replace=False)))
+            rest = np.asarray([i for i in active if i not in S])
+            out += [S, S + (int(rng.choice(rest)),)]
+            continue
+        b_size = int(rng.integers(1, active.size))
+        B = np.sort(rng.choice(active, b_size, replace=False))
+        a_size = int(rng.integers(0, b_size + 1))
+        A = tuple(int(i) for i in np.sort(rng.choice(B, a_size, replace=False)))
+        B = tuple(int(i) for i in B)
+        rest = np.asarray([i for i in active if i not in B])
+        v = int(rng.choice(rest))
+        out += [A + (v,), A, B + (v,), B]
+    return out
+
+
+def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
+    """Every draw stays in its order; the reference values come in one call.
+
+    check_submodular makes no phi_eig call, and check_monotone makes one
+    per trial, the one inside design_state.
+    """
+    p = random_problem(np.random.default_rng(101), 5, 14)
+    batches, phi_eig_calls = [], []
+    reference, phi_eig = verify._reference_phi, objective.phi_eig
+
+    def recording(q, designs):
+        batches.append(list(designs))
+        return reference(q, designs)
+
+    def counting(q, S):
+        phi_eig_calls.append(S)
+        return phi_eig(q, S)
+
+    monkeypatch.setattr(verify, "_reference_phi", recording)
+    monkeypatch.setattr(objective, "phi_eig", counting)
+    ss.check_submodular(p, mode="random", trials=40, seed=23)
+    ss.check_submodular(identity_problem(4), mode="exhaustive")
+    assert phi_eig_calls == []
+    ss.check_monotone(p, trials=30, seed=22)
+    assert len(phi_eig_calls) == 30
+    assert batches[0] == _parent_draws(p, 40, 23, monotone=False)
+    assert len(batches[1]) == 2 ** 4
+    assert batches[2] == _parent_draws(p, 30, 22, monotone=True)
+    # recorded from the checks that called phi_eig once per design
+    assert batches[0][:4] == [(8,), (), (9, 8), (9,)]
+    S = (0, 1, 2, 3, 5, 6, 7, 10, 11, 13)
+    assert batches[2][:2] == [S, S + (4,)]
 
 
 def test_mc_scalar_matches_analytic_value():
