@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=_count_at_least(0), default=200)
     pv.add_argument("--samples", type=_count_at_least(2), default=2000,
                     help="Monte Carlo samples, at least 2 for a standard error")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_count_at_least(0), default=0)
     pv.add_argument("--out", help="write a report file")
     pv.set_defaults(func=cmd_verify)
 

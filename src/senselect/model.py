@@ -113,6 +113,14 @@ class InverseProblem:
         return self.gamma_pr_sqrt.rep @ self.sensor_vecs
 
     @cached_property
+    def whitened(self) -> np.ndarray:
+        # L' st (M = L L') of the active sensors, SchurKernel's W; column j is p.active[j]
+        vecs = self.precond_vecs
+        if len(self.active) < self.n_s:
+            vecs = vecs[:, list(self.active)]
+        return self.space.whitening_factor.T @ vecs
+
+    @cached_property
     def gamma_pr_inv(self) -> Operator:
         # Gamma_pr^-1 = (M Gamma_pr)^-1 M, with the symmetrized M Gamma_pr
         return Operator(self.space, np.linalg.solve(self._mg, self.space.M))

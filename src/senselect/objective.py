@@ -86,18 +86,12 @@ class DesignState:
 
 
 def design_state(p: InverseProblem, S=()) -> DesignState:
-    """The state of design S: its members' factor rows, added in index order.
-
-    Each member's residual comes from a residual vector updated as greedy
-    updates its own, r -= e * e, which gives entry's floats bit for bit.
-    """
+    """The state of design S: its members added in index order through
+    SchurKernel.add, the call greedy makes, so its residuals are greedy's."""
     idx = validate_design(p, S)
     kern = SchurKernel(p, len(idx))
-    r = kern.diag.copy()
     for i in idx:
-        j = candidate_position(p, i)
-        e = kern.add(j, float(r[j]))
-        r -= e * e
+        kern.add(candidate_position(p, i))
     return DesignState(p, Design(idx), phi_eig(p, idx), kern)
 
 
@@ -170,71 +164,67 @@ def extend(state: DesignState, v) -> DesignState:
     p, v = state.problem, int(v)
     j = active_position(p, v, state.design)
     kern = copy.copy(state.kernel)  # shares the whitened vectors and diagonal
-    kern.rows = np.concatenate((kern.rows[:kern.t], np.empty((1, kern.rows.shape[1]))))
+    kern.rows = np.vstack((kern.rows[:kern.t], np.empty_like(kern.diag)))
+    kern.res = np.vstack((kern.res[:kern.t + 1], np.empty_like(kern.diag)))
     r = kern.entry(j, j)
-    kern.add(j, r)
+    kern.add(j)
     return DesignState(p, Design(state.design.indices + (v,)), state.phi + math.log1p(r), kern)
 
 
 class SchurKernel:
     """Incremental Cholesky factor of I + K over the active candidates.
 
-    K = W'W is the Gram matrix of the whitened sensor vectors W = L' st
-    (M = L L'), formed as in phi_eig.  Forming it as st' (M st) instead
+    K = W'W is the Gram matrix of the whitened sensor vectors, read
+    without a copy from W = p.whitened.  Forming it as st' (M st) instead
     is not a Gram product, and in the saturated regime (more sensors
     than parameters) its rounding error grows with the conditioning of M.
 
     Positions 0 .. m-1 index p.active.  After t selections the factor holds
-    rows e_0 .. e_{t-1}, and a candidate's Schur residual is
+    rows e_0 .. e_{t-1}, and res[t] holds every candidate's Schur residual
 
-        r_v = K_vv - sum_{s<t} e_s[v]^2,    gain of v = log1p(r_v).
+        r_v = K_vv - sum_{s<t} e_s[v]^2,    gain of v = log1p(r_v),
 
-    Selecting position j with residual r_j appends
+    with res[0] = diag = K_vv; r reads res[t].  Selecting position j appends
 
         e_t = (K[:, j] - sum_{s<t} e_s e_s[j]) / sqrt(1 + r_j),
 
-    one column of K (an n x m product) plus O(t m) work.  The row is
-    needed anyway, and every residual follows from it in O(m) by
-    r -= e_t * e_t, so a gain costs nothing beyond the factor row: stale
-    upper bounds (lazy evaluation) would save no work.  Callers that
-    update residuals themselves subtract e_s[v] * e_s[v] one step at a
-    time, the order that entry uses, so every path sees bitwise identical
-    residuals.
+    one column of K (an n x m product) plus O(t m) work, and sets
+    res[t + 1] = res[t] - e_t * e_t.  The row is needed anyway, so a gain
+    costs nothing beyond it: stale upper bounds (lazy evaluation) would
+    save no work.  Lowering t rewinds to a prefix of the selections; the
+    next add overwrites the rows and residuals after it.
     """
 
     def __init__(self, p: InverseProblem, k: int):
         self.active = p.active
-        vecs = p.precond_vecs
-        if len(self.active) < p.n_s:
-            vecs = vecs[:, list(self.active)]
-        self._w = p.space.whitening_factor.T @ vecs
-        # K_vv for every position: the residuals before any selection
-        self.diag = np.einsum("ij,ij->j", self._w, self._w)
+        self._w = p.whitened
         self.n = p.n
         self.rows = np.empty((k, len(self.active)))
+        self.res = np.empty((k + 1, len(self.active)))
+        # K_vv for every position: the residuals before any selection
+        self.diag = np.einsum("ij,ij->j", self._w, self._w, out=self.res[0])
         self.t = 0
 
-    def add(self, j: int, r_j: float) -> np.ndarray:
-        """Append the factor row of position j, whose current residual is r_j."""
+    @property
+    def r(self) -> np.ndarray:
+        return self.res[self.t]
+
+    def add(self, j: int) -> np.ndarray:
+        """Append the factor row of position j and the residuals after it."""
         t = self.t
+        r = self.res[t]
         prev = self.rows[:t]
         col = self._w.T @ self._w[:, j]
-        e = (col - prev.T @ prev[:, j]) / math.sqrt(1.0 + r_j)
+        e = (col - prev.T @ prev[:, j]) / math.sqrt(1.0 + r[j])
         self.rows[t] = e
+        np.subtract(r, e * e, out=self.res[t + 1])
         self.t = t + 1
         return e
 
     def entry(self, i: int, j: int) -> float:
-        """Schur entry K_ij - sum_s e_s[i] e_s[j] of positions i and j.
-
-        On the diagonal this is the residual of j, with the rows subtracted
-        one at a time, as greedy's r -= e * e does.
-        """
+        """Schur entry K_ij - sum_s e_s[i] e_s[j] of positions i and j; r_j if i == j."""
         if i == j:
-            r = float(self.diag[j])
-            for e in self.rows[:self.t, j].tolist():
-                r = r - e * e
-            return r
+            return float(self.r[j])
         rows = self.rows[:self.t]
         return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
 
@@ -242,7 +232,7 @@ class SchurKernel:
         """Schur block K[pos, cols] - E[:, pos]' E[:, cols]; cols defaults to pos.
 
         Off the diagonal these are entry's values, up to the rounding of
-        the matrix products; the residuals of the diagonal come from entry.
+        the matrix products; on the diagonal read r instead.
         """
         w, e = self._w[:, pos], self.rows[:self.t, pos]
         if cols is None:

@@ -80,6 +80,8 @@ def gen_random(spec: ProblemSpec) -> InverseProblem:
     """
     if spec.n < 1 or spec.n_s < 1:
         raise ValueError("need n >= 1 and n_s >= 1")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {spec.seed}")
     _require_finite(spec, "conditioning")
     if spec.conditioning < 1.0:
         raise ValueError("conditioning must be at least 1")
@@ -137,6 +139,8 @@ def gen_chain(spec: ProblemSpec) -> InverseProblem:
     n = spec.n
     if n < 3:
         raise ValueError("chain problems need n >= 3 nodes")
+    if spec.n_s < 1:
+        raise ValueError(f"chain problems need n_s >= 1 sensors, got {spec.n_s}")
     interior = n - 2
     if spec.sensor_nodes is not None:
         nodes = tuple(int(i) for i in spec.sensor_nodes)

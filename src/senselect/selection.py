@@ -115,9 +115,9 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
     t0 = time.perf_counter()
     k = _check_budget(p, k)
     kern = objective.SchurKernel(p, k)
-    r = kern.diag.copy()
     chosen, steps, evals, prev_gain, phi = [], [], 0, math.inf, 0.0
     for t in range(k):
+        r = kern.r
         evals += r.size - t
         near = np.flatnonzero(r >= (1.0 - TIE_RTOL) * r.max()).tolist()
         j = near[_break_tie(p, [chosen + [kern.active[v]] for v in near])]
@@ -129,9 +129,8 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
         prev_gain, phi = gain, phi + gain
         chosen.append(kern.active[j])
         steps.append((chosen[-1], gain, phi))
-        e = kern.add(j, float(r[j]))
-        r -= e * e
-        r[j] = -math.inf  # selected: never near the maximum again
+        kern.add(j)
+        kern.r[j] = -math.inf  # selected: never near the maximum again
     return _finish("greedy", p, Design(chosen), steps, k, t0, gain_evals=evals)
 
 
@@ -174,8 +173,8 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
 
     Branch and bound over the prefixes in lexicographic order.  Depth t
-    holds the Schur residuals res[t] and the phi of a t-element prefix;
-    descending to position j appends j's factor row e through the
+    holds the kernel's Schur residuals res[t] and the phi of a t-element
+    prefix; descending to position j appends j's factor row e through the
     SchurKernel.add that greedy calls, and the child has residuals
     res[t] - e * e and phi + log1p(res[t][j]).
 
@@ -205,18 +204,17 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     margin = _rounding_margin(kern, k)
     best = _greedy_value(kern, k) - margin
     floor = (1.0 - TIE_RTOL) * best
-    res = np.empty((k - 1, m))
-    res[0] = kern.diag
     phi, path, nxt = [0.0] * (k - 1), [0] * (k - 1), [0] * (k - 1)
     # depth t < k - 2: its children, their bounds, and the next one to try
     kids, bounds, at = [None] * (k - 2), [None] * (k - 2), [0] * (k - 2)
     if k > 2:
         kern.t = 0
-        kids[0], bounds[0] = _child_bounds(kern, res[0], 0, k)
+        kids[0], bounds[0] = _child_bounds(kern, 0, k)
     band = []
     t = 0
     while t >= 0:
-        r, j = res[t], nxt[t]
+        kern.t = t
+        r, j = kern.r, nxt[t]
         cut = floor - margin - phi[t]
         if t == k - 2:
             # children c in [j, m - 2] whose best grandchild can reach the floor
@@ -224,7 +222,6 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
             after = np.maximum.accumulate(g[:j:-1])[::-1]  # max of g[c + 1:] for c >= j
             leaf_kids = j + np.flatnonzero(g[j:m - 1] + after >= cut)
             if leaf_kids.size:
-                kern.t = t
                 cols = np.arange(leaf_kids[0] + 1, m)
                 e = kern.block(leaf_kids, cols) / np.sqrt(1.0 + r[leaf_kids])[:, None]
                 up = [phi[t] + math.log1p(x) for x in r[leaf_kids].tolist()]
@@ -246,29 +243,27 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         i = at[t] + int(live[0])
         at[t] = i + 1
         c = path[t] = int(kids[t][i])
-        kern.t = t
-        e = kern.add(c, float(r[c]))
-        np.subtract(r, e * e, out=res[t + 1])
+        kern.add(c)
         phi[t + 1] = phi[t] + math.log1p(r[c])
         nxt[t + 1] = c + 1
         t += 1
         if t < k - 2:
-            kern.t = t
-            kids[t], bounds[t] = _child_bounds(kern, res[t], c + 1, k - t)
+            kids[t], bounds[t] = _child_bounds(kern, c + 1, k - t)
             at[t] = 0
     return [s for _, s in band]
 
 
-def _child_bounds(kern: objective.SchurKernel, r: np.ndarray, j: int, q: int):
+def _child_bounds(kern: objective.SchurKernel, j: int, q: int):
     """Children of a node and the most each of them can add, from one Schur block.
 
-    The node sits at depth kern.t with residuals r, its children are the
-    positions c in [j, m - q], and q elements are still to choose.  Row c
-    of the block K[C, R] - E[:, C]' E[:, R] over the positions R after j,
-    scaled by 1 / sqrt(1 + r_c), is c's factor row, so child c has the
-    residuals r - e_c * e_c, and its bound is log1p(r_c) plus the q - 1
-    largest log1p residuals of its own after c.
+    The node sits at depth kern.t with residuals r = kern.r, its children
+    are the positions c in [j, m - q], and q elements are still to choose.
+    Row c of the block K[C, R] - E[:, C]' E[:, R] over the positions R
+    after j, scaled by 1 / sqrt(1 + r_c), is c's factor row, so child c
+    has the residuals r - e_c * e_c, and its bound is log1p(r_c) plus the
+    q - 1 largest log1p residuals of its own after c.
     """
+    r = kern.r
     m = r.size
     kids = np.arange(j, m - q + 1)
     cols = np.arange(j + 1, m)
@@ -281,16 +276,14 @@ def _child_bounds(kern: objective.SchurKernel, r: np.ndarray, j: int, q: int):
 
 def _greedy_value(kern: objective.SchurKernel, k: int) -> float:
     """Kernel phi of a plain greedy pass of k steps, rows written from 0."""
-    r = kern.diag.copy()
+    kern.t = 0
     phi = 0.0
     for t in range(k):
-        j = int(np.argmax(r))
-        phi += math.log1p(r[j])
+        j = int(np.argmax(kern.r))
+        phi += math.log1p(kern.r[j])
         if t < k - 1:
-            kern.t = t
-            e = kern.add(j, float(r[j]))
-            r -= e * e
-            r[j] = -math.inf
+            kern.add(j)
+            kern.r[j] = -math.inf
     return phi
 
 

@@ -140,21 +140,22 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     """phi of every design in designs, from scratch: the checks' reference values.
 
     designs are sequences of active sensor indices, drawn by the checks
-    themselves.  With W_S the whitened sensor vectors of a design (as in
-    phi_eig), Sylvester's identity det(I_n + W_S W_S') = det(I_s + W_S' W_S)
+    themselves.  With W_S a design's columns of p.whitened, as SchurKernel
+    reads them, Sylvester's identity det(I_n + W_S W_S') = det(I_s + W_S' W_S)
     lets each value come from the Cholesky factor of the smaller of the
     two Gram matrices, and the designs of one size go through one batched
     Cholesky.  Each design is sorted first, so equal designs get equal
     values; the empty design gets exactly 0.
     """
     out = np.zeros(len(designs))
-    w = (p.space.whitening_factor.T @ p.precond_vecs).T  # row i: sensor i
+    w = p.whitened.T  # row j: sensor p.active[j]
     by_size = {}
     for pos, d in enumerate(designs):
         by_size.setdefault(len(d), []).append(pos)
     for size, pos in by_size.items():
         if size:
-            v = w[np.sort(np.array([designs[i] for i in pos]), axis=1)]  # (designs, size, n)
+            S = np.sort(np.array([designs[i] for i in pos]), axis=1)
+            v = w[np.searchsorted(p.active, S)]  # (designs, size, n)
             gram = v @ v.transpose(0, 2, 1) if size <= p.n else v.transpose(0, 2, 1) @ v
             np.einsum("bii->bi", gram)[...] += 1.0
             c = np.linalg.cholesky(gram)
@@ -176,8 +177,9 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     within an absolute tolerance.  Inactive candidates are never sampled.
     All designs are drawn first, in the order of the trials, and both
     from-scratch values of every trial come from one _reference_phi
-    call; the formula side reads design_state.  min_gain is 0.0 when no
-    trial ran.
+    call.  The formula side rewinds one SchurKernel per trial, adds S in
+    index order as design_state does, and reads v's residual.  min_gain
+    is 0.0 when no trial ran.
     """
     trials = _count(trials, 0, "trials")
     rng = np.random.default_rng(seed)
@@ -191,12 +193,16 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         rest = np.asarray([i for i in active if i not in S])
         draws.append((S, int(rng.choice(rest))))
     ref = _reference_phi(p, [d for S, v in draws for d in (S, S + (v,))]).reshape(-1, 2)
+    kern = objective.SchurKernel(p, max((len(S) for S, v in draws), default=0))
     violations = 0
     min_gain = math.inf
     max_err = 0.0
     for (S, v), (phi_S, phi_Sv) in zip(draws, ref.tolist()):
+        kern.t = 0
+        for j in np.searchsorted(active, S).tolist():
+            kern.add(j)
         dense_gain = phi_Sv - phi_S
-        formula_gain = objective.marginal_gain(objective.design_state(p, S), v)
+        formula_gain = objective.gain(float(kern.r[int(np.searchsorted(active, v))]))
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
         max_err = max(max_err, err)
@@ -238,7 +244,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     phi of every subset, from _reference_phi, is held in a table indexed
     by the bit mask of its positions in p.active.  The designs are visited depth first in
     lexicographic order on one SchurKernel, one add per design, so a
-    design's residuals, the plain gains log1p(a_vv), are entry's.  One
+    design's residuals, the plain gains log1p(a_vv), are its r.  One
     Schur block over the remaining positions gives every a_vw, and with
     it the conditioned gain of every pair at once.
     """
@@ -249,8 +255,6 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
                              for mask in range(1 << m)])
     bits = 1 << np.arange(m)
     kern = objective.SchurKernel(p, m)
-    res = np.empty((m + 1, m))
-    res[0] = kern.diag
     checks = violations = 0
     max_breach = -math.inf
     max_err = 0.0
@@ -258,7 +262,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     def visit(t: int, mask: int, start: int) -> None:
         nonlocal checks, violations, max_breach, max_err
         rest = np.flatnonzero((bits & mask) == 0)
-        a = res[t][rest]
+        a = kern.r[rest]
         plain = objective.gain(a)
         up = phi[mask | bits[rest]]  # phi(A + v)
         err = np.abs(plain - (up - phi[mask]))
@@ -276,8 +280,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
         if t + 1 < m:
             for j in range(start, m):
                 kern.t = t
-                e = kern.add(j, float(res[t][j]))
-                np.subtract(res[t], e * e, out=res[t + 1])
+                kern.add(j)
                 visit(t + 1, mask | 1 << j, j + 1)
 
     visit(0, 0, 0)

@@ -253,7 +253,7 @@ def test_verify_writes_round_trippable_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--samples", "0"),
-                                         ("--samples", "1")])
+                                         ("--samples", "1"), ("--seed", "-1")])
 def test_verify_bad_count_exits_2(tmp_path, capsys, flag, value):
     path = write(tmp_path, "scalar.txt", SCALAR)
     with pytest.raises(SystemExit) as exc:
@@ -313,6 +313,27 @@ def test_gen_invalid_chain_exits_3(tmp_path, capsys):
          str(tmp_path / "x.txt")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--sensor-nodes", ""]], ids=["spread", "pinned"])
+def test_gen_chain_without_sensors_exits_3(tmp_path, capsys, extra):
+    """The reader refuses a problem with no sensor, so gen must not write one."""
+    out = tmp_path / "x.prob"
+    code = main(["gen", "--kind", "chain", "--n", "5", "--n-s", "0", *extra, "--out", str(out)])
+    assert code == 3
+    assert "error: chain problems need n_s >= 1 sensors, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_negative_seed(tmp_path, capsys):
+    """A random problem refuses it by name; a chain ignores its seed."""
+    out = tmp_path / "x.prob"
+    args = ["--n", "5", "--n-s", "2", "--seed", "-1", "--out", str(out)]
+    assert main(["gen", "--kind", "random", *args]) == 3
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen", "--kind", "chain", *args]) == 0
+    assert fileio.read_problem(out).n_s == 2
 
 
 def test_gen_out_directory_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import senselect as ss
-from senselect import fileio
+from senselect import fileio, objective, verify
 from senselect.selection import certificate_ratio
 
 from conftest import random_problem
@@ -72,6 +72,52 @@ def chains(draw):
 def test_branch_and_bound_keeps_the_tie_band(p, data):
     """The pruned search returns the band of the search without bounds."""
     assert_band_matches_reference(p, data.draw(st.integers(0, len(p.active))))
+
+
+def _rows_subtracted_one_at_a_time(kern):
+    """Every residual as SchurKernel.entry computed it before the kernel kept
+    a residual stack: diag minus the factor rows, one step at a time."""
+    out = []
+    for j in range(kern.diag.size):
+        r = float(kern.diag[j])
+        for e in kern.rows[:kern.t, j].tolist():
+            r = r - e * e
+        out.append(r)
+    return np.array(out)
+
+
+@PROPERTY
+@given(st.one_of(problems(), chains()), st.data())
+def test_residual_stack_is_the_rows_subtracted_one_at_a_time(p, data):
+    """Bit for bit, for members pushed in any order; rewinding to 0 and
+    pushing again gives the same floats; the kernel reads p.whitened, the
+    whitened active sensor vectors, without a copy."""
+    order = data.draw(st.permutations(range(len(p.active))))
+    members = order[:data.draw(st.integers(0, len(order)))]
+    kern = objective.SchurKernel(p, len(members))
+    assert np.shares_memory(kern._w, p.whitened)
+    assert np.array_equal(p.whitened, p.space.whitening_factor.T @ p.precond_vecs[:, p.active])
+    for j in members:
+        kern.add(j)
+    first = kern.r.copy()
+    assert first.tobytes() == _rows_subtracted_one_at_a_time(kern).tobytes()
+    kern.t = 0
+    for j in members:
+        kern.add(j)
+    assert kern.r.tobytes() == first.tobytes()
+
+
+@PROPERTY
+@given(problems(), st.data())
+def test_reference_phi_maps_sensors_to_whitened_columns(p, data):
+    """On problems with inactive rows; the tolerance is the one of
+    test_reference_phi_matches_phi_eig_on_both_gram_sides."""
+    designs = data.draw(st.lists(st.lists(st.sampled_from(p.active), unique=True),
+                                 min_size=1, max_size=6))
+    big = 1.0 + float(np.max(np.sum(p.whitened ** 2, axis=0)))
+    for d, value in zip(designs, verify._reference_phi(p, designs).tolist()):
+        tol = 2.0 * (p.n + len(d)) * np.finfo(float).eps * big
+        assert abs(value - ss.phi_eig(p, d)) <= tol
 
 
 @PROPERTY
