@@ -36,16 +36,30 @@ def _count_at_least(lo: int):
     return parse
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
+def _parse_subset(text: str, p) -> tuple[int, ...]:
+    """eval's 1-based subset of p's sensors, made 0-based.  A fault names
+    the index as typed and exits 3; a token that is no integer exits 2."""
+    from .model import candidate_position
+
     text = text.strip()
-    return tuple(fileio._int(tok.strip(), "subset") - 1 for tok in text.split(",")) if text else ()
+    seen = []
+    for tok in text.split(",") if text else ():
+        i = fileio._int(tok.strip(), "subset")
+        if not 1 <= i <= p.n_s:
+            raise ValueError(f"subset: sensor {i} out of range [1, {p.n_s}]")
+        if i in seen:
+            raise ValueError(f"subset: sensor {i} appears twice")
+        if candidate_position(p, i - 1) is None:
+            raise ValueError(f"subset: sensor {i} is inactive (zero forward-map row)")
+        seen.append(i)
+    return tuple(i - 1 for i in seen)
 
 
 def cmd_eval(args) -> int:
     from . import objective
 
     p = fileio.read_problem(args.problem)
-    subset = _parse_subset(args.subset)
+    subset = _parse_subset(args.subset, p)
     phi = objective.phi_eig(p, subset)
     print(f"phi_eig {_f12(phi)}")
     print(f"eig_nats {_f12(0.5 * phi)}")
@@ -178,14 +192,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out", help="write a report file")
     pg.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility and ignored; selection runs serially")
-    pg.add_argument("--cap", type=int, default=None,
+    pg.add_argument("--cap", type=_count_at_least(0), default=None,
                     help="subset cap for --certify")
     pg.set_defaults(func=cmd_greedy)
 
     px = sub.add_parser("exhaustive", help="exact optimum over all size-k subsets")
     px.add_argument("problem")
     px.add_argument("k", type=int)
-    px.add_argument("--cap", type=int, default=None)
+    px.add_argument("--cap", type=_count_at_least(0), default=None)
     px.add_argument("--out", help="write a report file")
     px.set_defaults(func=cmd_exhaustive)
 

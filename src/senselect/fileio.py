@@ -21,6 +21,12 @@ A file is read in one pass.  Nothing is allocated from n or n_s before the
 rows holding that many values are checked: a dense block is stacked from
 checked rows, and an identity block is made once the last line is checked.
 
+Parsing 17-digit text is the slow part of reading a problem, so parsed
+blocks are cached under the SHA-256 of the file's bytes: write_problem
+stores the blocks of the file it writes, read_problem those of each file it
+parses.  A hit builds the problem through build_problem as a parse does, so
+a file reads as the same problem, with the same errors, either way.
+
 Report files carry the same header lines (schema_version, report kind,
 tool_version, problem_hash, timestamp) followed by the payload.  The
 timestamp is "unset" unless SOURCE_DATE_EPOCH is present in the
@@ -34,8 +40,11 @@ and writing problem files loads neither solver nor checks.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
+import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -43,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Design, InverseProblem, build_problem
+from .model import Design, InverseProblem, build_problem, content_digest
 from .wspace import WeightedSpace
 
 if TYPE_CHECKING:
@@ -183,7 +192,8 @@ def _read_vector(lines: _Lines, key: str, count: int) -> np.ndarray:
     return _finite_floats(*lines.next(f"values of {key}"), count, key)
 
 
-def parse_problem_text(text: str) -> InverseProblem:
+def _parse_blocks(text: str) -> tuple:
+    """(M, Gamma_pr, F, sigma, m_pr) of a problem text, None for an identity block."""
     lines = _Lines(text)
     _expect_schema(lines)
     n = _expect_size(lines, "n", len(text), "characters of the file")
@@ -194,14 +204,31 @@ def parse_problem_text(text: str) -> InverseProblem:
     sigma = _read_vector(lines, "sigma", n_s)
     m_pr = _read_vector(lines, "m_pr", n)
     lines.end()
-    space = WeightedSpace(np.eye(n) if M is None else M)
-    return build_problem(space, F, sigma, m_pr, np.eye(n) if gamma is None else gamma)
+    return M, gamma, F, sigma, m_pr
 
 
-def _read_text(path) -> str:
-    """The file as ASCII text; a non-ASCII byte is a format error at its line."""
+def _dense(blocks) -> tuple:
+    """blocks with each identity block made."""
+    eye = np.eye(blocks[-1].size)
+    return tuple(eye if A is None else A for A in blocks)
+
+
+def _build(blocks) -> InverseProblem:
+    M, gamma, F, sigma, m_pr = _dense(blocks)
+    return build_problem(WeightedSpace(M), F, sigma, m_pr, gamma)
+
+
+def parse_problem_text(text: str) -> InverseProblem:
+    return _build(_parse_blocks(text))
+
+
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _ascii(data: bytes) -> str:
+    """data as ASCII text; a non-ASCII byte is a format error at its line."""
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -209,8 +236,96 @@ def _read_text(path) -> str:
                                  data.count(b"\n", 0, exc.start) + 1) from None
 
 
+# The cache of parsed blocks.  An entry is keyed by the bytes of the file it
+# was parsed from, so bump _CACHE_VERSION whenever the parse rules change.
+# An uncompressed .npz holds each block under its section name, an identity
+# block by its absence, and content_digest of the blocks as "content_hash";
+# it is used only if its arrays hash back to that value.  The cache keeps
+# the _CACHE_ENTRIES most recently used entries, and is skipped silently
+# where it cannot be written.
+_CACHE_VERSION = b"senselect problem cache 1\n"
+_CACHE_ENTRIES = 8
+_BLOCK_NAMES = ("M", "Gamma_pr", "F", "sigma", "m_pr")
+
+
+def _cache_path(key: str) -> str | None:
+    """The entry of key in $XDG_CACHE_HOME/senselect, with ~/.cache for an
+    unset or relative XDG_CACHE_HOME; None when no home is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "senselect", key + ".npz") if os.path.isabs(base) else None
+
+
+def _cache_key(data: bytes) -> str:
+    h = hashlib.sha256(_CACHE_VERSION)
+    h.update(data)
+    return h.hexdigest()
+
+
+def _cache_get(key: str):
+    """The blocks stored under key, or None when absent, unreadable or not
+    hashing back to their content hash.  A hit refreshes the entry's mtime."""
+    path = _cache_path(key)
+    if path is None:
+        return None
+    try:
+        # np.load leaks a file it opened itself when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
+            blocks = (entry.get("M"), entry.get("Gamma_pr"), entry["F"], entry["sigma"],
+                      entry["m_pr"])
+            stored = str(entry["content_hash"])
+        if content_digest(*_dense(blocks)) != stored:
+            return None
+    except Exception:  # the cache only saves parses: any fault in an entry is a miss
+        return None
+    with suppress(OSError):
+        os.utime(path)
+    return blocks
+
+
+def _cache_put(key: str, blocks) -> None:
+    """Store blocks under key, then evict the least recently used entries
+    beyond _CACHE_ENTRIES.  A cache that cannot be written is skipped."""
+    path = _cache_path(key)
+    if path is None:
+        return
+    arrays = {name: np.ascontiguousarray(A) for name, A in zip(_BLOCK_NAMES, blocks)
+              if A is not None}
+    where = os.path.dirname(path)
+    tmp = None
+    try:
+        os.makedirs(where, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=where)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, content_hash=content_digest(*_dense(blocks)), **arrays)
+        os.replace(tmp, path)
+        tmp = None
+        with os.scandir(where) as it:
+            entries = sorted((e.stat().st_mtime_ns, e.path) for e in it if e.name.endswith(".npz"))
+        for _, old in entries[:-_CACHE_ENTRIES]:
+            os.remove(old)
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.remove(tmp)
+
+
 def read_problem(path) -> InverseProblem:
-    return parse_problem_text(_read_text(path))
+    """The problem in a file, its blocks taken from the cache when these
+    bytes were parsed or written before.  A file is stored once it has
+    parsed and built, so a faulty file is parsed, and refused, every time."""
+    data = _read_bytes(path)
+    key = _cache_key(data)
+    blocks = _cache_get(key)
+    if blocks is not None:
+        return _build(blocks)
+    text = _ascii(data)
+    del data  # the parse holds the text alone
+    blocks = _parse_blocks(text)
+    p = _build(blocks)
+    _cache_put(key, blocks)
+    return p
 
 
 def _rows(A: np.ndarray):
@@ -224,29 +339,45 @@ def _rows(A: np.ndarray):
         yield line % tuple(row.tolist())
 
 
-def _problem_lines(p: InverseProblem):
-    """Canonical serialization by lines; exact identity blocks use the shorthand."""
-    yield f"schema_version {SCHEMA_VERSION}\nn {p.n}\nn_s {p.n_s}\n"
-    for key, A in (("M", p.space.M), ("Gamma_pr", p.gamma_pr.rep)):
-        if np.array_equal(A, np.eye(A.shape[0])):
+def _written_blocks(p: InverseProblem) -> tuple:
+    """The blocks of p as its file reads back: a block equal to I (by
+    np.array_equal, so -0.0 counts as 0.0) takes the identity shorthand."""
+    def shorthand(A):
+        return None if np.array_equal(A, np.eye(A.shape[0])) else A
+    return shorthand(p.space.M), shorthand(p.gamma_pr.rep), p.F, p.sigma, p.m_pr
+
+
+def _problem_lines(blocks):
+    """Canonical serialization of a problem's _written_blocks, by lines."""
+    M, gamma, F, sigma, m_pr = blocks
+    yield f"schema_version {SCHEMA_VERSION}\nn {m_pr.size}\nn_s {sigma.size}\n"
+    for key, A in (("M", M), ("Gamma_pr", gamma)):
+        if A is None:
             yield f"{key} identity\n"
         else:
             yield f"{key} dense\n"
             yield from _rows(A)
     yield "F dense\n"
-    yield from _rows(p.F)
-    for key, v in (("sigma", p.sigma), ("m_pr", p.m_pr)):
+    yield from _rows(F)
+    for key, v in (("sigma", sigma), ("m_pr", m_pr)):
         yield f"{key}\n"
         yield from _rows(v[None, :])
 
 
 def problem_text(p: InverseProblem) -> str:
-    return "".join(_problem_lines(p))
+    return "".join(_problem_lines(_written_blocks(p)))
 
 
 def write_problem(p: InverseProblem, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(_problem_lines(p))
+    """Write p's file and store its blocks in the cache under the file's bytes."""
+    blocks = _written_blocks(p)
+    key = hashlib.sha256(_CACHE_VERSION)  # _cache_key of the bytes, as they are written
+    with open(path, "wb") as fh:
+        for chunk in _problem_lines(blocks):
+            data = chunk.encode("ascii")
+            key.update(data)
+            fh.write(data)
+    _cache_put(key.hexdigest(), blocks)
 
 
 def default_timestamp() -> str:
@@ -519,4 +650,4 @@ def parse_report_text(text: str) -> ReportFile:
 
 
 def read_report(path) -> ReportFile:
-    return parse_report_text(_read_text(path))
+    return parse_report_text(_ascii(_read_bytes(path)))

@@ -23,6 +23,7 @@ inactive at construction.
 from __future__ import annotations
 
 import bisect
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,22 +135,20 @@ class InverseProblem:
 
     def content_hash(self) -> str:
         """Stable hex digest of the mathematical content of the problem."""
-        import hashlib  # on first use: gen and eval never hash a problem
+        return content_digest(self.space.M, self.F, self.sigma, self.m_pr, self.gamma_pr.rep)
 
-        h = hashlib.sha256()
-        h.update(b"senselect-problem-v1")
-        for tag, arr in (
-            (b"M", self.space.M),
-            (b"F", self.F),
-            (b"sigma", self.sigma),
-            (b"m_pr", self.m_pr),
-            (b"Gamma_pr", self.gamma_pr.rep),
-        ):
-            a = np.ascontiguousarray(arr, dtype=float)
-            h.update(tag)
-            h.update(str(a.shape).encode())
-            h.update(a.tobytes())
-        return h.hexdigest()
+
+def content_digest(M, F, sigma, m_pr, gamma_pr) -> str:
+    """content_hash of a problem holding these arrays."""
+    h = hashlib.sha256()
+    h.update(b"senselect-problem-v1")
+    for tag, arr in ((b"M", M), (b"F", F), (b"sigma", sigma), (b"m_pr", m_pr),
+                     (b"Gamma_pr", gamma_pr)):
+        a = np.ascontiguousarray(arr, dtype=float)
+        h.update(tag)
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def build_problem(space: WeightedSpace, F, sigma, m_pr, gamma_pr) -> InverseProblem:

@@ -86,11 +86,12 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.  n_samples
-    must be at least 2, for a standard error, whatever the design.
+    must be at least 2, for a standard error, and seed at least 0, whatever
+    the design.
     """
     n_samples = _count(n_samples, 2, "n_samples")
+    seed = _count(seed, 0, "seed")
     idx = validate_design(p, S)
-    seed = int(seed)
     if not idx:
         return McEigEstimate(n_samples, 0.0, 0.0, seed)
     rng = np.random.default_rng(seed)
@@ -182,7 +183,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     is 0.0 when no trial ran.
     """
     trials = _count(trials, 0, "trials")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, 0, "seed"))
     active = np.asarray(p.active)
     if active.size == 0:
         raise ValueError("problem has no active candidates")
@@ -289,7 +290,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
 
 def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> SubmodularReport:
     """trials draws of A inside B and v outside B, all drawn before any value."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, 0, "seed"))
     active = np.asarray(p.active)
     if active.size < 2:
         raise ValueError("need at least 2 active candidates")
@@ -336,10 +337,11 @@ def verification_run(
     seed (seed, seed + 1, seed + 2 for monotonicity, submodularity, and
     the MC estimate).  The MC design is the full active set, and the
     estimate must land within 3 standard errors of half the objective.
-    Both counts are checked before any check runs.
+    Both counts and the seed are checked before any check runs.
     """
     _count(trials, 0, "trials")
     _count(samples, 2, "samples")
+    seed = _count(seed, 0, "seed")
     mono = check_monotone(p, trials=trials, seed=seed)
     sub = check_submodular(p, mode="auto", trials=trials, seed=seed + 1)
     design = p.active
@@ -347,4 +349,4 @@ def verification_run(
     target = 0.5 * objective.phi_eig(p, design)
     tol = 3.0 * est.std_error if est.std_error > 0 else 1e-12
     mc_ok = abs(est.mean_kl - target) <= tol
-    return VerificationSummary(mono, sub, est, tuple(design), target, mc_ok, int(seed))
+    return VerificationSummary(mono, sub, est, tuple(design), target, mc_ok, seed)

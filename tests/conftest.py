@@ -9,6 +9,7 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 
 import senselect as ss
 
@@ -27,6 +28,15 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     if hasattr(config, "hypothesis_home"):
         shutil.rmtree(config.hypothesis_home, ignore_errors=True)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_home(tmp_path_factory):
+    """Point the problem cache at a temporary directory, for this process and
+    the CLI processes it starts, so that the suite never writes to ~/.cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 def maxabs(a) -> float:

@@ -157,6 +157,22 @@ def test_eval_duplicate_subset_exits_3(identity_file, capsys):
     assert main(["eval", identity_file, "1,1"]) == 3
 
 
+@pytest.mark.parametrize("subset, message", [
+    ("0", "subset: sensor 0 out of range [1, 3]"),
+    ("99", "subset: sensor 99 out of range [1, 3]"),
+    ("1,1", "subset: sensor 1 appears twice"),
+], ids=["zero", "too-large", "repeated"])
+def test_eval_subset_faults_name_one_based_indices(pair_file, capsys, subset, message):
+    assert main(["eval", pair_file, subset]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_inactive_sensor_is_named_one_based(tmp_path, capsys):
+    path = write(tmp_path, "inactive.txt", IDENTITY_2.replace("0 1\nsigma", "0 0\nsigma"))
+    assert main(["eval", path, "2"]) == 3
+    assert capsys.readouterr().err == "error: subset: sensor 2 is inactive (zero forward-map row)\n"
+
+
 def test_greedy_certify_session(pair_file, capsys):
     assert main(["greedy", pair_file, "2", "--certify"]) == 0
     out = capsys.readouterr().out
@@ -227,6 +243,15 @@ def test_exhaustive_cap_exits_4(pair_file, capsys):
 
 def test_greedy_certify_cap_exits_4(pair_file, capsys):
     assert main(["greedy", pair_file, "2", "--certify", "--cap", "1"]) == 4
+
+
+@pytest.mark.parametrize("argv", [["greedy", "2", "--certify"], ["exhaustive", "2"]],
+                         ids=["greedy", "exhaustive"])
+def test_negative_cap_exits_2(pair_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], pair_file, *argv[1:], "--cap", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cap: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_verify_scalar_session(tmp_path, capsys):

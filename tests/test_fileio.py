@@ -1,5 +1,6 @@
 """Problem and report file round trips, shorthand forms, and parse errors."""
 
+import os
 import sys
 import tracemalloc
 
@@ -403,3 +404,169 @@ def test_parse_allocates_nothing_from_header_sizes():
         tracemalloc.stop()
     assert exc.value.line == 11 and "m_pr has 1 values" in str(exc.value)
     assert peak < bound
+
+
+# The cache of parsed problem blocks behind read_problem.
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh, empty cache; returns the directory its entries go to."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "senselect"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of texts parsed since the test began, as a one-item list."""
+    count = [0]
+    parse = fileio._parse_blocks
+
+    def counted(text):
+        count[0] += 1
+        return parse(text)
+    monkeypatch.setattr(fileio, "_parse_blocks", counted)
+    return count
+
+
+def entry_of(cache, path):
+    return cache / (fileio._cache_key(path.read_bytes()) + ".npz")
+
+
+def test_cache_miss_stores_then_hits(cache, parses, tmp_path):
+    path = tmp_path / "p.prob"
+    path.write_text(fileio.problem_text(three_sensor_problem()))
+    first = fileio.read_problem(path)
+    assert parses[0] == 1
+    assert entry_of(cache, path).is_file()
+    assert (cache.stat().st_mode & 0o777) == 0o700
+    second = fileio.read_problem(path)
+    assert parses[0] == 1
+    assert second.content_hash() == first.content_hash()
+
+
+def test_write_problem_seeds_the_cache(cache, parses, tmp_path):
+    path = tmp_path / "p.prob"
+    fileio.write_problem(three_sensor_problem(), path)
+    assert [e.name for e in cache.iterdir()] == [entry_of(cache, path).name]
+    fileio.read_problem(path)
+    assert parses[0] == 0
+
+
+def test_changed_bytes_miss(cache, parses, tmp_path):
+    path = tmp_path / "p.prob"
+    fileio.write_problem(three_sensor_problem(), path)
+    path.write_text(path.read_text() + "# a comment changes the bytes, not the problem\n")
+    q = fileio.read_problem(path)
+    assert parses[0] == 1
+    assert q.content_hash() == three_sensor_problem().content_hash()
+    assert len(list(cache.iterdir())) == 2
+
+
+def _truncate(entry):
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+
+def _tamper(entry):
+    """F changed in one value, the stored content hash kept."""
+    with np.load(entry, allow_pickle=False) as z:
+        arrays = {name: z[name] for name in z.files}
+    arrays["F"][0, 0] += 1.0
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _tamper, lambda e: e.write_bytes(b"")],
+                         ids=["truncated", "tampered", "empty"])
+def test_damaged_entry_is_a_miss_and_is_rewritten(cache, parses, tmp_path, damage):
+    path = tmp_path / "p.prob"
+    p = three_sensor_problem()
+    fileio.write_problem(p, path)
+    damage(entry_of(cache, path))
+    assert fileio.read_problem(path).content_hash() == p.content_hash()
+    assert parses[0] == 1
+    assert fileio.read_problem(path).content_hash() == p.content_hash()
+    assert parses[0] == 1
+
+
+def test_unwritable_cache_still_reads_and_writes(tmp_path, monkeypatch, parses):
+    # a regular file where the cache directory's parent should be: no
+    # directory can be made there, whoever runs the test
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = tmp_path / "p.prob"
+    p = three_sensor_problem()
+    fileio.write_problem(p, path)
+    assert fileio.read_problem(path).content_hash() == p.content_hash()
+    assert fileio.read_problem(path).content_hash() == p.content_hash()
+    assert parses[0] == 2
+    assert blocker.read_text() == ""
+
+
+def test_cache_keeps_the_most_recently_used_entries(cache, tmp_path):
+    paths = []
+    for i in range(fileio._CACHE_ENTRIES):
+        paths.append(tmp_path / f"p{i}.prob")
+        fileio.write_problem(identity_problem(i + 1), paths[-1])
+        os.utime(entry_of(cache, paths[-1]), (1e9 + i, 1e9 + i))
+    fileio.read_problem(paths[0])  # a hit makes the oldest entry the newest
+    newest = tmp_path / "new.prob"
+    fileio.write_problem(identity_problem(fileio._CACHE_ENTRIES + 1), newest)
+    kept = {e.name for e in cache.iterdir()}
+    assert kept == {entry_of(cache, q).name for q in [newest, paths[0], *paths[2:]]}
+
+
+def test_malformed_file_is_never_stored(cache, tmp_path):
+    path = tmp_path / "bad.prob"
+    path.write_text(GOOD.replace("0 1\n", "0 x\n"))
+    for _ in range(2):
+        with pytest.raises(fileio.ProblemFormatError) as exc:
+            fileio.read_problem(path)
+        assert exc.value.line == 8 and "not a number: 'x'" in str(exc.value)
+        assert not cache.exists() or not any(cache.iterdir())
+
+
+def _signed_zero_problem():
+    """-0.0 in F and m_pr, and off the diagonal of an M that writes as identity."""
+    M = np.eye(3)
+    M[0, 1] = M[1, 0] = -0.0
+    F = np.array([[1.0, -0.0, 2.0], [-0.0, 1.0, 0.0]])
+    return ss.build_problem(ss.WeightedSpace(M), F, np.ones(2), np.array([-0.0, 0.0, 1.0]),
+                            np.eye(3))
+
+
+def _adversarial_problem():
+    base = random_problem(np.random.default_rng(95), 7, 2)
+    return ss.build_problem(base.space, np.array(ADVERSARIAL).reshape(2, 7),
+                            np.array([5e-324, BIGGEST]),
+                            np.array([-0.0, 1e-310, 1e-5, 1e16, 1e17, -BIGGEST, 1.0]),
+                            base.gamma_pr.rep)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_problem(np.random.default_rng(96), 6, 9),
+    lambda: random_problem(np.random.default_rng(97), 5, 4, weighted=False),
+    lambda: ss.generate(ss.ProblemSpec(kind="chain", n=20, n_s=10, seed=7)),
+    lambda: identity_problem(4),
+    _signed_zero_problem,
+    _adversarial_problem,
+], ids=["random", "random-unweighted", "chain", "identity", "signed-zero", "adversarial"])
+@pytest.mark.parametrize("seed_by", ["write", "read"])
+def test_hit_is_bitwise_the_parse(cache, parses, tmp_path, make, seed_by):
+    """A hit builds from the very arrays the parse gives, whether write_problem
+    or a first read_problem stored them."""
+    path = tmp_path / "p.prob"
+    if seed_by == "write":
+        fileio.write_problem(make(), path)
+    else:
+        path.write_text(fileio.problem_text(make()))
+        fileio.read_problem(path)
+    stored = parses[0]
+    hit = fileio.read_problem(path)
+    assert parses[0] == stored
+    parsed = fileio.parse_problem_text(path.read_text())
+    for a, b in ((hit.space.M, parsed.space.M), (hit.gamma_pr.rep, parsed.gamma_pr.rep),
+                 (hit.F, parsed.F), (hit.sigma, parsed.sigma), (hit.m_pr, parsed.m_pr)):
+        # strides too: BLAS may round differently on a transposed layout
+        assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+    assert hit.content_hash() == parsed.content_hash()

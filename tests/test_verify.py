@@ -117,6 +117,24 @@ def test_counts_below_the_report_floor_are_refused(monkeypatch):
         ss.verification_run(p, samples=1)
 
 
+@pytest.mark.parametrize("run", [
+    lambda p: ss.check_monotone(p, trials=3, seed=-1),
+    lambda p: ss.check_submodular(p, mode="random", trials=3, seed=-1),
+    lambda p: ss.mc_eig(p, p.active, 10, -1),
+    lambda p: ss.mc_eig(p, (), 10, -1),
+    lambda p: ss.verification_run(p, trials=3, samples=10, seed=-1),
+], ids=["check_monotone", "check_submodular", "mc_eig", "mc_eig-empty", "verification_run"])
+def test_negative_seed_is_refused_before_any_draw(monkeypatch, run):
+    p = random_problem(np.random.default_rng(94), 3, 5)
+
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the seed was checked")
+
+    monkeypatch.setattr(verify.np.random, "default_rng", must_not_draw)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        run(p)
+
+
 @pytest.mark.parametrize("mode, problem", [
     ("random", lambda: random_problem(np.random.default_rng(95), 4, 12)),
     ("exhaustive", scalar_problem),
