@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("greedy", help="greedy selection of k sensors")
     pg.add_argument("problem")
-    pg.add_argument("k", type=int)
+    pg.add_argument("k", type=_count_at_least(0))
     pg.add_argument("--lazy", action="store_true",
                     help="accepted for compatibility; runs plain greedy, report method lazy_greedy")
     pg.add_argument("--certify", action="store_true",
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     px = sub.add_parser("exhaustive", help="exact optimum over all size-k subsets")
     px.add_argument("problem")
-    px.add_argument("k", type=int)
+    px.add_argument("k", type=_count_at_least(0))
     px.add_argument("--cap", type=_count_at_least(0), default=None)
     px.add_argument("--out", help="write a report file")
     px.set_defaults(func=cmd_exhaustive)

@@ -5,14 +5,15 @@ run under its own method name.  Minoux's stale upper bounds would save
 nothing here: every gain falls out of the factor row that a selection
 appends anyway, one O(m) residual update per step.  exhaustive finds the
 optimum over every size-k subset, under a configurable cap on their
-number, by branch and bound in lexicographic order: a node holds the
-Schur residuals of its prefix, so each prefix costs one factor row,
-shared by all of its extensions, and submodularity bounds what any
-extension can add, so a prefix that cannot reach the tie band is never
-extended.  Both run on objective.SchurKernel.  Designs
-whose kernel value lies within TIE_RTOL of the best, the steps of greedy
-and the subsets of exhaustive alike, are re-scored by phi_eig, and exact
-ties go to the lexicographically smallest design.  certify_bound
+number, by branch and bound in lexicographic order on an explicit stack:
+entering a prefix costs one factor row, shared by all of its
+extensions, one Schur block over its children gives their gains, and
+submodularity turns those into a bound on what any extension can add,
+so a prefix that cannot reach the tie band is never extended.  Both run
+on objective.SchurKernel.  Designs whose kernel value lies within
+TIE_RTOL of the best, the steps of greedy and the subsets of exhaustive
+alike, are re-scored by phi_eig, and exact ties go to the
+lexicographically smallest design.  certify_bound
 attaches the (1 - 1/e) optimality certificate that monotonicity plus
 submodularity guarantee for the greedy value.
 """
@@ -172,28 +173,27 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
 def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
 
-    Branch and bound over the prefixes in lexicographic order.  Depth t
-    holds the kernel's Schur residuals res[t] and the phi of a t-element
-    prefix; descending to position j appends j's factor row e through the
-    SchurKernel.add that greedy calls, and the child has residuals
-    res[t] - e * e and phi + log1p(res[t][j]).
+    Branch and bound over the prefixes in lexicographic order, depth first
+    on an explicit stack, so no budget is limited by recursion depth.  A
+    node is (prefix, phi, parent_phi, bound): bound is the most that any
+    size-k extension of the prefix can add to its parent's phi.  A node
+    whose parent_phi + bound stays below the tie floor
+    (1 - TIE_RTOL) * best when its turn comes is skipped; comparing with
+    the floor, not with best, keeps every member of the band.  best starts
+    from a greedy pass on the same kernel, and every comparison gives way
+    by _rounding_margin, which bounds how far two evaluations of one
+    design's kernel phi can differ.
 
-    By submodularity no extension of a prefix gains more than the sum of
-    the q largest log1p residuals among the positions after it, q being
-    the number of elements still to choose.  A node's children get that
-    bound from their own residuals, all at once (_child_bounds), and a
-    child whose phi plus bound stays below the tie floor
-    (1 - TIE_RTOL) * best is never entered; comparing with the floor, not
-    with best, keeps every member of the band.  The incumbent best starts
-    from a greedy pass on the same kernel.  Every comparison gives way by
-    _rounding_margin, which bounds how far two evaluations of one design's
-    kernel phi can differ.
-
-    At depth k - 2 one Schur block K[C, R] - E[:, C]' E[:, R] over the
-    children C whose best leaf can reach the floor and the positions R
-    after them scores every (child, grandchild) leaf at once.  The band
-    keeps its sets in lexicographic order and drops those left behind
-    whenever the best rises.
+    Entering a node appends the factor row of its last position through
+    the SchurKernel.add that greedy calls.  One child step follows, the
+    same at every depth: row c of the Schur block K[C, R] - E[:, C]' E[:, R]
+    over the children C and the positions R after them, scaled by
+    1 / sqrt(1 + r_c), is child c's factor row, so g = log1p(r - e_c * e_c)
+    are c's gains.  With q elements still to choose, q == 2 scores every
+    leaf as phi + log1p(r_c) + g; otherwise each child is pushed with the
+    bound log1p(r_c) plus the sum of its q - 1 largest gains, which
+    submodularity makes an upper bound.  The band keeps its sets in
+    lexicographic order and drops those left behind whenever best rises.
     """
     if k == 0:
         return [()]
@@ -204,74 +204,37 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     margin = _rounding_margin(kern, k)
     best = _greedy_value(kern, k) - margin
     floor = (1.0 - TIE_RTOL) * best
-    phi, path, nxt = [0.0] * (k - 1), [0] * (k - 1), [0] * (k - 1)
-    # depth t < k - 2: its children, their bounds, and the next one to try
-    kids, bounds, at = [None] * (k - 2), [None] * (k - 2), [0] * (k - 2)
-    if k > 2:
-        kern.t = 0
-        kids[0], bounds[0] = _child_bounds(kern, 0, k)
     band = []
-    t = 0
-    while t >= 0:
-        kern.t = t
-        r, j = kern.r, nxt[t]
-        cut = floor - margin - phi[t]
-        if t == k - 2:
-            # children c in [j, m - 2] whose best grandchild can reach the floor
-            g = np.log1p(r)
-            after = np.maximum.accumulate(g[:j:-1])[::-1]  # max of g[c + 1:] for c >= j
-            leaf_kids = j + np.flatnonzero(g[j:m - 1] + after >= cut)
-            if leaf_kids.size:
-                cols = np.arange(leaf_kids[0] + 1, m)
-                e = kern.block(leaf_kids, cols) / np.sqrt(1.0 + r[leaf_kids])[:, None]
-                up = [phi[t] + math.log1p(x) for x in r[leaf_kids].tolist()]
-                vals = np.array(up)[:, None] + np.log1p(r[cols] - e * e)
-                vals[cols <= leaf_kids[:, None]] = -math.inf
-                top = float(vals.max())
-                if top > best:
-                    best, floor = top, (1.0 - TIE_RTOL) * top
-                    band = [(v, s) for v, s in band if v >= floor]
-                prefix = tuple(path[:t])
-                for a, b in zip(*np.nonzero(vals >= floor)):
-                    band.append((float(vals[a, b]), prefix + (int(leaf_kids[a]), int(cols[b]))))
-            t -= 1
+    stack = [((), 0.0, 0.0, math.inf)]
+    while stack:
+        prefix, phi, parent_phi, bound = stack.pop()
+        if bound < floor - margin - parent_phi:
             continue
-        live = np.flatnonzero(bounds[t][at[t]:] >= cut)
-        if not live.size:
-            t -= 1
-            continue
-        i = at[t] + int(live[0])
-        at[t] = i + 1
-        c = path[t] = int(kids[t][i])
-        kern.add(c)
-        phi[t + 1] = phi[t] + math.log1p(r[c])
-        nxt[t + 1] = c + 1
-        t += 1
-        if t < k - 2:
-            kids[t], bounds[t] = _child_bounds(kern, c + 1, k - t)
-            at[t] = 0
+        t = len(prefix)
+        kern.t = max(t - 1, 0)
+        if t:
+            kern.add(prefix[-1])
+        r, q = kern.r, k - t
+        kids = np.arange(prefix[-1] + 1 if t else 0, m - q + 1)
+        cols = np.arange(kids[0] + 1, m)
+        e = kern.block(kids, cols) / np.sqrt(1.0 + r[kids])[:, None]
+        g = np.log1p(r[cols] - e * e)
+        g[cols <= kids[:, None]] = -math.inf  # only the positions after each child
+        up = [phi + math.log1p(x) for x in r[kids].tolist()]
+        if q == 2:
+            vals = np.array(up)[:, None] + g
+            top = float(vals.max())
+            if top > best:
+                best, floor = top, (1.0 - TIE_RTOL) * top
+                band = [(v, s) for v, s in band if v >= floor]
+            for a, b in zip(*np.nonzero(vals >= floor)):
+                band.append((float(vals[a, b]), prefix + (int(kids[a]), int(cols[b]))))
+        else:
+            top = np.partition(g, cols.size - q + 1, axis=1)[:, cols.size - q + 1:].sum(axis=1)
+            bounds = np.log1p(r[kids]) + top
+            stack.extend((prefix + (c,), f, phi, b)
+                         for c, f, b in zip(kids[::-1].tolist(), up[::-1], bounds[::-1].tolist()))
     return [s for _, s in band]
-
-
-def _child_bounds(kern: objective.SchurKernel, j: int, q: int):
-    """Children of a node and the most each of them can add, from one Schur block.
-
-    The node sits at depth kern.t with residuals r = kern.r, its children
-    are the positions c in [j, m - q], and q elements are still to choose.
-    Row c of the block K[C, R] - E[:, C]' E[:, R] over the positions R
-    after j, scaled by 1 / sqrt(1 + r_c), is c's factor row, so child c
-    has the residuals r - e_c * e_c, and its bound is log1p(r_c) plus the
-    q - 1 largest log1p residuals of its own after c.
-    """
-    r = kern.r
-    m = r.size
-    kids = np.arange(j, m - q + 1)
-    cols = np.arange(j + 1, m)
-    e = kern.block(kids, cols) / np.sqrt(1.0 + r[kids])[:, None]
-    g = np.log1p(r[cols] - e * e)
-    g[cols <= kids[:, None]] = -math.inf  # only the positions after each child
-    top = np.partition(g, cols.size - q + 1, axis=1)[:, cols.size - q + 1:].sum(axis=1)
-    return kids, np.log1p(r[kids]) + top
 
 
 def _greedy_value(kern: objective.SchurKernel, k: int) -> float:

@@ -254,6 +254,14 @@ def test_negative_cap_exits_2(pair_file, capsys, argv):
     assert "argument --cap: must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["greedy", "exhaustive"])
+def test_negative_budget_exits_2(pair_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, pair_file, "-1"])
+    assert exc.value.code == 2
+    assert "argument k: must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_verify_scalar_session(tmp_path, capsys):
     path = write(tmp_path, "scalar.txt", SCALAR)
     code = main(["verify", path, "--trials", "20", "--samples", "400", "--seed", "3"])

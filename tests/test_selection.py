@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -353,12 +354,23 @@ def assert_band_matches_reference(p, k):
     (lambda: _chain(60, 20), 3),
     (lambda: _chain(40, 16, (3, 3, 6, 9, 9, 12, 3, 20, 20, 25, 30, 33, 33, 35, 8, 8)), 4),
     (lambda: identity_problem(8), 4),  # all 70 designs tie
-], ids=["readme-chain", "chain-100x24", "chain-60", "duplicated-nodes", "identity-all-tie"])
+    # k = 2: the root itself scores the leaves
+    (lambda: _chain(20, 10, None, seed=7), 2),
+    (lambda: _chain(100, 24), 2),
+], ids=["readme-chain", "chain-100x24", "chain-60", "duplicated-nodes", "identity-all-tie",
+        "readme-chain-k2", "chain-100x24-k2"])
 def test_branch_and_bound_keeps_the_band_on_mirror_chains_duplicates_and_ties(problem, k):
     p = problem()
     band = assert_band_matches_reference(p, k)
     if p.n_s == 8:
         assert len(band) == math.comb(8, 4)
+
+
+def test_full_budget_beyond_the_recursion_limit():
+    """C(m, m) = 1 passes the cap at any m, so the search depth is not bounded by it."""
+    p = random_problem(np.random.default_rng(73), 5, 1050)
+    assert len(p.active) > sys.getrecursionlimit()
+    assert ss.exhaustive(p, len(p.active)).chosen.indices == tuple(p.active)
 
 
 def _factor_rows(monkeypatch, run):
