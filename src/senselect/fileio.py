@@ -14,8 +14,9 @@ blank lines are ignored.  Sections appear in a fixed order:
     m_pr                  (followed by one row of n numbers)
 
 Numbers are written with 17 significant digits, which round-trips every
-double exactly.  Sensor indices are 1-based in files (and in the CLI);
-the library is 0-based internally.
+double exactly; numtext writes the blocks, with the bytes of one '%.17g'
+per value.  Sensor indices are 1-based in files (and in the CLI); the
+library is 0-based internally.
 
 A file is read in one pass.  Nothing is allocated from n or n_s before the
 rows holding that many values are checked: a dense block is stacked from
@@ -33,9 +34,11 @@ timestamp is "unset" unless SOURCE_DATE_EPOCH is present in the
 environment, so identical runs write byte-identical files; wall-clock
 runtime is never serialized.
 
-The report payload classes come from selection and verify, and datetime
-formats the timestamp; all three are imported on first use, so reading
-and writing problem files loads neither solver nor checks.
+The report payload classes come from selection and verify, datetime
+formats the timestamp, and numtext writes problem blocks; all four are
+imported on first use, so reading and writing problem files loads neither
+solver nor checks, and a command that writes no problem file loads no
+encoder.
 """
 
 from __future__ import annotations
@@ -328,17 +331,6 @@ def read_problem(path) -> InverseProblem:
     return p
 
 
-def _rows(A: np.ndarray):
-    """Lines of a 2-D block, each row formatted by one %-operation.
-
-    Each row becomes Python floats only when its line is made, so a block
-    is never held as Python floats at once.
-    """
-    line = " ".join([_NUMBER] * A.shape[1]) + "\n"
-    for row in A:
-        yield line % tuple(row.tolist())
-
-
 def _written_blocks(p: InverseProblem) -> tuple:
     """The blocks of p as its file reads back: a block equal to I (by
     np.array_equal, so -0.0 counts as 0.0) takes the identity shorthand."""
@@ -348,24 +340,26 @@ def _written_blocks(p: InverseProblem) -> tuple:
 
 
 def _problem_lines(blocks):
-    """Canonical serialization of a problem's _written_blocks, by lines."""
+    """Canonical serialization of a problem's _written_blocks, in ASCII chunks."""
+    from .numtext import rows
+
     M, gamma, F, sigma, m_pr = blocks
-    yield f"schema_version {SCHEMA_VERSION}\nn {m_pr.size}\nn_s {sigma.size}\n"
+    yield f"schema_version {SCHEMA_VERSION}\nn {m_pr.size}\nn_s {sigma.size}\n".encode()
     for key, A in (("M", M), ("Gamma_pr", gamma)):
         if A is None:
-            yield f"{key} identity\n"
+            yield f"{key} identity\n".encode()
         else:
-            yield f"{key} dense\n"
-            yield from _rows(A)
-    yield "F dense\n"
-    yield from _rows(F)
+            yield f"{key} dense\n".encode()
+            yield from rows(A)
+    yield b"F dense\n"
+    yield from rows(F)
     for key, v in (("sigma", sigma), ("m_pr", m_pr)):
-        yield f"{key}\n"
-        yield from _rows(v[None, :])
+        yield f"{key}\n".encode()
+        yield from rows(v[None, :])
 
 
 def problem_text(p: InverseProblem) -> str:
-    return "".join(_problem_lines(_written_blocks(p)))
+    return b"".join(_problem_lines(_written_blocks(p))).decode("ascii")
 
 
 def write_problem(p: InverseProblem, path) -> None:
@@ -373,8 +367,7 @@ def write_problem(p: InverseProblem, path) -> None:
     blocks = _written_blocks(p)
     key = hashlib.sha256(_CACHE_VERSION)  # _cache_key of the bytes, as they are written
     with open(path, "wb") as fh:
-        for chunk in _problem_lines(blocks):
-            data = chunk.encode("ascii")
+        for data in _problem_lines(blocks):
             key.update(data)
             fh.write(data)
     _cache_put(key.hexdigest(), blocks)

@@ -176,10 +176,11 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     Branch and bound over the prefixes in lexicographic order, depth first
     on an explicit stack, so no budget is limited by recursion depth.  A
     node is (prefix, phi, parent_phi, bound): bound is the most that any
-    size-k extension of the prefix can add to its parent's phi.  A node
-    whose parent_phi + bound stays below the tie floor
-    (1 - TIE_RTOL) * best when its turn comes is skipped; comparing with
-    the floor, not with best, keeps every member of the band.  best starts
+    size-k extension of the prefix can add to its parent's phi.  A child
+    whose parent_phi + bound lies below the tie floor (1 - TIE_RTOL) * best
+    is not pushed, and a node that best has left below it by the time its
+    turn comes is skipped; comparing with the floor, not with best, keeps
+    every member of the band.  best starts
     from a greedy pass on the same kernel, and every comparison gives way
     by _rounding_margin, which bounds how far two evaluations of one
     design's kernel phi can differ.
@@ -232,8 +233,10 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         else:
             top = np.partition(g, cols.size - q + 1, axis=1)[:, cols.size - q + 1:].sum(axis=1)
             bounds = np.log1p(r[kids]) + top
-            stack.extend((prefix + (c,), f, phi, b)
-                         for c, f, b in zip(kids[::-1].tolist(), up[::-1], bounds[::-1].tolist()))
+            # best only rises, so a child below the floor now would be skipped when popped
+            kept = [(prefix + (c,), f, phi, b) for c, f, b in zip(kids.tolist(), up, bounds.tolist())
+                    if b >= floor - margin - phi]
+            stack.extend(reversed(kept))
     return [s for _, s in band]
 
 

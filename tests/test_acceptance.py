@@ -329,7 +329,8 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "senselect"))
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     """gen and eval load neither the solvers nor the checks, greedy not the
-    checks and verify not the solvers, report files included.
+    checks and verify not the solvers, report files included; only gen
+    loads the problem-block encoder.
 
     Every process compiles what it imports when no bytecode is cached, so
     a top-level import of the solvers or the checks would cost every
@@ -338,11 +339,12 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     runs = [
         (["gen", "--kind", "chain", "--n", "20", "--n-s", "10", "--seed", "7", "--out", "c.prob"],
          "problems", ("selection", "verify", "objective")),
-        (["eval", "c.prob", "1,2,10"], "objective", ("selection", "verify", "problems")),
+        (["eval", "c.prob", "1,2,10"], "objective",
+         ("selection", "verify", "problems", "numtext")),
         (["greedy", "c.prob", "3", "--certify", "--out", "g.report"], "selection",
-         ("verify", "problems")),
+         ("verify", "problems", "numtext")),
         (["verify", "c.prob", "--trials", "3", "--samples", "100", "--out", "v.report"], "verify",
-         ("selection", "problems")),
+         ("selection", "problems", "numtext")),
     ]
     for argv, runs_on, absent in runs:
         loaded = set(_modules_loaded(argv, tmp_path))

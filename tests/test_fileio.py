@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import senselect as ss
-from senselect import fileio
+from senselect import fileio, numtext
 
 from conftest import identity_problem, random_problem, report_fields, three_sensor_problem
 
@@ -127,6 +127,73 @@ def _written_problems(draw):
 @given(_written_problems())
 def test_writer_matches_per_value_format_on_drawn_problems(p):
     assert_writes_as_reference(p)
+
+
+# numtext's row encoder against one '%.17g' operation per value.
+
+def assert_rows_as_reference(A):
+    want = "".join(" ".join("%.17g" % x for x in row) + "\n" for row in A.tolist())
+    assert b"".join(numtext.rows(A)).decode("ascii") == want
+
+
+def _bit_patterns(rng, size):
+    v = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(float)
+    return v[np.isfinite(v)]
+
+
+def _log_uniform(rng, size):
+    return 10.0 ** rng.uniform(-6, 18, size) * rng.choice([-1.0, 1.0], size)
+
+
+def _halfway(rng, size):
+    """18-digit decimals ending in 5: halfway between two 17-digit ones."""
+    digits = rng.integers(10**16, 10**17, size).tolist()
+    exps = rng.integers(-22, 4, size).tolist()
+    return np.array([float(f"{d}5e{e}") for d, e in zip(digits, exps)])
+
+
+def _powers_of_ten(rng, size):
+    p = 10.0 ** np.arange(-6, 20)
+    v = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    return np.concatenate([v, -v])
+
+
+def _boundaries(rng, size):
+    """Fixed notation's ends, X = -5/-4 and 16/17, and the values %g writes
+    in exponent form or that take the fallback: zeros, subnormals, the extremes."""
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    v = np.array([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 9.99999999999999e-5,
+                  1e16, np.nextafter(1e16, 0.0), 1e16 + 2, 1e17, np.nextafter(1e17, 0.0),
+                  99999999999999999.0, 9999999999999998.0, 0.1, 0.5, 1.0, 0.0, -0.0, 5e-324,
+                  tiny, np.nextafter(tiny, 0.0), big, 1e308, 123.0, 1e-5, 1.5e-5])
+    return np.concatenate([v, -v])
+
+
+@pytest.mark.parametrize("draw", [_bit_patterns, _log_uniform, _halfway, _powers_of_ten,
+                                  _boundaries])
+def test_rows_match_per_value_format(draw):
+    v = draw(np.random.default_rng(98), 20_000)
+    assert_rows_as_reference(v[: v.size - v.size % 4].reshape(-1, 4))
+    assert_rows_as_reference(v[None, :])
+
+
+def test_rows_match_per_value_format_across_chunks(monkeypatch):
+    """A block of several chunks, and one row longer than a chunk, at the
+    default chunk size and at one that splits rows and values unevenly."""
+    v = _log_uniform(np.random.default_rng(99), 3 * numtext._CHUNK + 11)
+    assert_rows_as_reference(v[: 7 * (v.size // 7)].reshape(-1, 7))
+    assert_rows_as_reference(v[None, :])
+    monkeypatch.setattr(numtext, "_CHUNK", 5)
+    assert_rows_as_reference(v[:39].reshape(13, 3))
+    assert_rows_as_reference(v[None, :12])
+
+
+def test_rows_without_the_fast_path_write_the_same_bytes(monkeypatch):
+    """A band wider than 1/2, as where long double is a double, sends every
+    value to the fallback."""
+    v = np.concatenate([_boundaries(None, 0), _log_uniform(np.random.default_rng(100), 500)])
+    monkeypatch.setattr(numtext, "_BAND", 1.0)
+    assert_rows_as_reference(v.reshape(-1, 4))
 
 
 def test_comments_and_blank_lines_ignored():
