@@ -496,8 +496,8 @@ def _ok_fault(ok, seen) -> str | None:
 
 
 _WORD = _scalar(lambda tok, what, lineno: tok)
-_INT = _scalar(_int)
 _COUNT = _scalar(partial(_at_least, 0))
+_SAMPLES = _scalar(partial(_at_least, 2))  # a standard error needs two
 _FLOAT = _scalar(_float, _fmt)
 _FLAG = _scalar(lambda tok, what, lineno: _choice(("yes", "no"), tok, what, lineno) == "yes",
                 lambda value: "yes" if value else "no")
@@ -508,7 +508,7 @@ _INDICES = (lambda idx: [[str(i + 1) for i in idx]],
 # the attribute path of the value it holds.
 _SELECTION = (
     ("method", _WORD, "method"),
-    ("seed", _unset_or(*_INT), "seed"),
+    ("seed", _unset_or(*_COUNT), "seed"),
     ("k", _COUNT, "k"),
     ("chosen", (_INDICES[0], _load_chosen), "chosen"),
     ("phi_final", _FLOAT, "phi_final"),
@@ -524,17 +524,17 @@ _SELECTION = (
 )
 
 _VERIFICATION = (
-    ("seed", _INT, "seed"),
+    ("seed", _COUNT, "seed"),
     ("monotone_trials", _COUNT, "monotone.trials"),
-    ("monotone_violations", _INT, "monotone.violations"),
+    ("monotone_violations", _COUNT, "monotone.violations"),
     ("monotone_min_gain", _FLOAT, "monotone.min_gain"),
     ("monotone_max_formula_err", _FLOAT, "monotone.max_formula_err"),
     ("submodular_mode", _WORD, "submodular.mode"),
     ("submodular_checks", _COUNT, "submodular.checks"),
-    ("submodular_violations", _INT, "submodular.violations"),
+    ("submodular_violations", _COUNT, "submodular.violations"),
     ("submodular_max_breach", _FLOAT, "submodular.max_breach"),
     ("submodular_max_formula_err", _unset_or(*_FLOAT), "submodular.max_formula_err"),
-    ("mc_samples", _COUNT, "mc.n_samples"),
+    ("mc_samples", _SAMPLES, "mc.n_samples"),
     ("mc_design", _INDICES, "mc_design"),
     ("mc_mean", _FLOAT, "mc.mean_kl"),
     ("mc_stderr", _FLOAT, "mc.std_error"),

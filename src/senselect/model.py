@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .wspace import Operator, WeightedSpace, adjoint_forward, is_selfadjoint, require_finite
+from .wspace import Operator, WeightedSpace, adjoint_forward, require_finite, symmetric_part
 
 SQRT_CONSISTENCY_TOL = 1e-9
 
@@ -69,11 +69,11 @@ class InverseProblem:
         else:
             gamma_pr = Operator(space, gamma_pr)
         require_finite(gamma_pr.rep, "prior covariance Gamma_pr")
-        if not is_selfadjoint(gamma_pr):
-            raise ValueError("prior covariance is not selfadjoint in the weighted inner product")
         G = gamma_pr.rep
-        MG = space.M @ G
-        MG = 0.5 * (MG + MG.T)
+        MG = symmetric_part(space.M @ G)  # the symmetrized product is kept for gamma_pr_inv
+        if MG is None:
+            raise ValueError("prior covariance is not selfadjoint in the weighted inner product")
+        # not a duplicate of _selfadjoint_sqrt's test: near singular, rounding splits them
         try:
             np.linalg.cholesky(MG)
         except np.linalg.LinAlgError as exc:
@@ -168,7 +168,7 @@ def _selfadjoint_sqrt(space: WeightedSpace, G: np.ndarray) -> Operator:
     C = L.T @ X
     C = 0.5 * (C + C.T)
     w, V = np.linalg.eigh(C)
-    if w[0] <= 0:
+    if w[0] <= C.shape[0] * np.finfo(float).eps * w[-1]:  # not told from 0 by eigh's accuracy
         raise ValueError("prior covariance is not positive definite")
     S = (V * np.sqrt(w)) @ V.T
     R = np.linalg.solve(L.T, S)  # L^-T sqrt(C)
@@ -197,6 +197,14 @@ class Design:
 
     def __contains__(self, i) -> bool:
         return i in self.indices
+
+
+def count_at_least(value, lo: int, name: str) -> int:
+    """value as an int, refused by name below lo; read_report holds the same floors."""
+    value = int(value)
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
 def validate_design(p: InverseProblem, S) -> tuple[int, ...]:

@@ -68,9 +68,10 @@ def eig_nats(p: InverseProblem, S) -> float:
 class DesignState:
     """A design together with the Schur factor rows of its members.
 
-    phi holds phi_eig(S).  kernel holds one factor row per member, in the
-    order the members were added; extend returns a new state and leaves
-    this one untouched.
+    phi holds phi_eig(S) from design_state, and the parent's phi plus the
+    gain log1p(a_vv) from extend; acceptance criterion 5 holds the two
+    within a relative 1e-8.  kernel holds one factor row per member, in
+    the order added; extend returns a new state and leaves this one as is.
     """
 
     problem: InverseProblem

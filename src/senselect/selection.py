@@ -5,11 +5,13 @@ run under its own method name.  Minoux's stale upper bounds would save
 nothing here: every gain falls out of the factor row that a selection
 appends anyway, one O(m) residual update per step.  exhaustive finds the
 optimum over every size-k subset, under a configurable cap on their
-number, by branch and bound in lexicographic order on an explicit stack:
-entering a prefix costs one factor row, shared by all of its
-extensions, one Schur block over its children gives their gains, and
-submodularity turns those into a bound on what any extension can add,
-so a prefix that cannot reach the tie band is never extended.  Both run
+number, by depth-first branch and bound on an explicit stack: entering
+a prefix costs one factor row, shared by all of its extensions, one
+Schur block over its children gives their gains, and submodularity
+turns those into a bound on what any extension can add, so a prefix
+that cannot reach the tie band is never extended.  The child with the
+largest bound is entered first, so the first leaves the search scores
+are its incumbent; no separate greedy pass is needed.  Both run
 on objective.SchurKernel.  Designs whose kernel value lies within
 TIE_RTOL of the best, the steps of greedy and the subsets of exhaustive
 alike, are re-scored by phi_eig, and exact ties go to the
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import objective
-from .model import InverseProblem
+from .model import InverseProblem, count_at_least
 from .objective import Design
 
 EXHAUSTIVE_CAP = 2_000_000
@@ -132,7 +134,8 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
         steps.append((chosen[-1], gain, phi))
         kern.add(j)
         kern.r[j] = -math.inf  # selected: never near the maximum again
-    return _finish("greedy", p, Design(chosen), steps, k, t0, gain_evals=evals)
+    return _finish("greedy", p, Design(chosen), steps, objective.phi_eig(p, chosen), t0,
+                   gain_evals=evals)
 
 
 def lazy_greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
@@ -149,12 +152,12 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
     """Exact optimum over all size-k subsets of the active candidates.
 
     Strict monotonicity means nothing smaller than size k can win, so only
-    size-k subsets are searched, by branch and bound in lexicographic
-    order (see _near_optimal).  The subsets whose kernel phi lies within a
-    relative TIE_RTOL of the best are re-scored by phi_eig in that order,
-    keeping strict improvements, so the reported optimum is the
-    lexicographically smallest maximizer of phi_eig.  cap bounds the
-    number C(|active|, k) of size-k subsets, not the nodes visited.
+    size-k subsets are searched, by branch and bound (see _near_optimal).
+    The subsets whose kernel phi lies within a relative TIE_RTOL of the
+    best are re-scored by phi_eig in lexicographic order, keeping strict
+    improvements, so the reported optimum is the lexicographically
+    smallest maximizer of phi_eig.  cap bounds the number C(|active|, k)
+    of size-k subsets, not the nodes visited.
     """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
@@ -165,25 +168,24 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
         )
     band = _near_optimal(objective.SchurKernel(p, k), k)
     designs = [[p.active[j] for j in s] for s in band]
-    best = designs[_break_tie(p, designs)]
-    steps = _ascending_trace(p, best)
-    return _finish("exhaustive", p, Design(best), steps, k, t0)
+    return _fixed_design("exhaustive", p, designs[_break_tie(p, designs)], t0)
 
 
 def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
 
-    Branch and bound over the prefixes in lexicographic order, depth first
-    on an explicit stack, so no budget is limited by recursion depth.  A
-    node is (prefix, phi, parent_phi, bound): bound is the most that any
-    size-k extension of the prefix can add to its parent's phi.  A child
-    whose parent_phi + bound lies below the tie floor (1 - TIE_RTOL) * best
-    is not pushed, and a node that best has left below it by the time its
-    turn comes is skipped; comparing with the floor, not with best, keeps
-    every member of the band.  best starts
-    from a greedy pass on the same kernel, and every comparison gives way
-    by _rounding_margin, which bounds how far two evaluations of one
-    design's kernel phi can differ.
+    Branch and bound over the prefixes, depth first on an explicit stack,
+    so no budget is limited by recursion depth.  A node is (prefix, phi,
+    parent_phi, bound): bound is the most that any size-k extension of the
+    prefix can add to its parent's phi.  A node's children are pushed in
+    ascending order of bound, so the one with the largest bound is popped
+    and entered first.  best starts at -inf; the first leaves scored, at
+    the end of that first dive, set it.  A child whose parent_phi + bound
+    lies below the tie floor (1 - TIE_RTOL) * best is not pushed, and a
+    node that best has left below it by the time its turn comes is
+    skipped; comparing with the floor, not with best, keeps every member
+    of the band.  Every comparison gives way by _rounding_margin, which
+    bounds how far two evaluations of one design's kernel phi can differ.
 
     Entering a node appends the factor row of its last position through
     the SchurKernel.add that greedy calls.  One child step follows, the
@@ -193,8 +195,8 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     are c's gains.  With q elements still to choose, q == 2 scores every
     leaf as phi + log1p(r_c) + g; otherwise each child is pushed with the
     bound log1p(r_c) plus the sum of its q - 1 largest gains, which
-    submodularity makes an upper bound.  The band keeps its sets in
-    lexicographic order and drops those left behind whenever best rises.
+    submodularity makes an upper bound.  The band drops the sets left
+    behind whenever best rises, and is returned in lexicographic order.
     """
     if k == 0:
         return [()]
@@ -203,8 +205,7 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         return [(j,) for j in np.flatnonzero(vals >= (1.0 - TIE_RTOL) * vals.max()).tolist()]
     m = len(kern.active)
     margin = _rounding_margin(kern, k)
-    best = _greedy_value(kern, k) - margin
-    floor = (1.0 - TIE_RTOL) * best
+    best = floor = -math.inf
     band = []
     stack = [((), 0.0, 0.0, math.inf)]
     while stack:
@@ -236,21 +237,9 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
             # best only rises, so a child below the floor now would be skipped when popped
             kept = [(prefix + (c,), f, phi, b) for c, f, b in zip(kids.tolist(), up, bounds.tolist())
                     if b >= floor - margin - phi]
-            stack.extend(reversed(kept))
-    return [s for _, s in band]
-
-
-def _greedy_value(kern: objective.SchurKernel, k: int) -> float:
-    """Kernel phi of a plain greedy pass of k steps, rows written from 0."""
-    kern.t = 0
-    phi = 0.0
-    for t in range(k):
-        j = int(np.argmax(kern.r))
-        phi += math.log1p(kern.r[j])
-        if t < k - 1:
-            kern.add(j)
-            kern.r[j] = -math.inf
-    return phi
+            kept.sort(key=lambda node: node[3])  # the largest bound is popped, and entered, first
+            stack.extend(kept)
+    return sorted(s for _, s in band)
 
 
 def _rounding_margin(kern: objective.SchurKernel, k: int) -> float:
@@ -267,13 +256,13 @@ def _rounding_margin(kern: objective.SchurKernel, k: int) -> float:
 
 
 def random_baseline(p: InverseProblem, k: int, seed: int) -> SelectionReport:
-    """Uniformly random size-k design, deterministic for a given seed."""
+    """Uniformly random size-k design, deterministic for a given seed >= 0."""
     t0 = time.perf_counter()
     k = _check_budget(p, k)
+    seed = count_at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
-    pick = np.sort(rng.choice(np.asarray(p.active), size=k, replace=False))
-    steps = _ascending_trace(p, pick)
-    return _finish("random", p, Design(pick), steps, k, t0, seed=int(seed))
+    pick = rng.choice(np.asarray(p.active), size=k, replace=False)
+    return _fixed_design("random", p, pick, t0, seed=seed)
 
 
 def certify_bound(
@@ -307,22 +296,24 @@ def certificate_ratio(phi: float, opt_phi: float) -> float:
     return 1.0 if phi == opt_phi else phi / opt_phi
 
 
-def _ascending_trace(p: InverseProblem, chosen):
-    """Per-step trace of a fixed design, added in ascending index order."""
+def _fixed_design(method, p, chosen, t0, seed=None) -> SelectionReport:
+    """Report of a fixed design, traced in ascending index order by phi_eig;
+    the last prefix, the design itself, gives phi_final (0.0 if empty)."""
     idx = tuple(sorted(int(i) for i in chosen))
     phi = [0.0] + [objective.phi_eig(p, idx[: t + 1]) for t in range(len(idx))]
-    return [(i, phi[t + 1] - phi[t], phi[t + 1]) for t, i in enumerate(idx)]
+    steps = [(i, phi[t + 1] - phi[t], phi[t + 1]) for t, i in enumerate(idx)]
+    return _finish(method, p, Design(idx), steps, phi[-1], t0, seed=seed)
 
 
-def _finish(method, p, design, steps, k, t0, seed=None, gain_evals=None) -> SelectionReport:
-    phi_final = objective.phi_eig(p, design)
+def _finish(method, p, design, steps, phi_final, t0, seed=None,
+            gain_evals=None) -> SelectionReport:
     return SelectionReport(
         method=method,
         chosen=design,
         per_step=tuple(steps),
         phi_final=phi_final,
         eig_final=0.5 * phi_final,
-        k=k,
+        k=len(design),
         problem_hash=p.content_hash(),
         seed=seed,
         wall_time=time.perf_counter() - t0,

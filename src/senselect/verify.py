@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import objective
-from .model import InverseProblem, Posterior, posterior, validate_design
+from .model import InverseProblem, Posterior, count_at_least, posterior, validate_design
 
 GAIN_FLOOR = 1e-14
 FORMULA_TOL = 1e-9
@@ -25,14 +25,6 @@ EXHAUSTIVE_LIMIT = 10
 # mc_eig maps its draws to data and divergences this many samples at a
 # time, so that only the standard normal draws are held in full
 _MC_BLOCK = 1000
-
-
-def _count(value, lo: int, name: str) -> int:
-    """value as an int, refused below lo, the floor the report reader holds it to."""
-    value = int(value)
-    if value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
-    return value
 
 
 def kl_gaussian(p: InverseProblem, post: Posterior):
@@ -89,8 +81,8 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     must be at least 2, for a standard error, and seed at least 0, whatever
     the design.
     """
-    n_samples = _count(n_samples, 2, "n_samples")
-    seed = _count(seed, 0, "seed")
+    n_samples = count_at_least(n_samples, 2, "n_samples")
+    seed = count_at_least(seed, 0, "seed")
     idx = validate_design(p, S)
     if not idx:
         return McEigEstimate(n_samples, 0.0, 0.0, seed)
@@ -182,8 +174,8 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     index order as design_state does, and reads v's residual.  min_gain
     is 0.0 when no trial ran.
     """
-    trials = _count(trials, 0, "trials")
-    rng = np.random.default_rng(_count(seed, 0, "seed"))
+    trials = count_at_least(trials, 0, "trials")
+    rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
     active = np.asarray(p.active)
     if active.size == 0:
         raise ValueError("problem has no active candidates")
@@ -227,7 +219,7 @@ def check_submodular(
     modes max_breach is 0.0 when no pair was checked, and the from-scratch
     values come from one _reference_phi call per check.
     """
-    trials = _count(trials, 0, "trials")
+    trials = count_at_least(trials, 0, "trials")
     if mode == "auto":
         mode = "exhaustive" if len(p.active) <= EXHAUSTIVE_LIMIT else "random"
     if mode == "exhaustive":
@@ -290,7 +282,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
 
 def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> SubmodularReport:
     """trials draws of A inside B and v outside B, all drawn before any value."""
-    rng = np.random.default_rng(_count(seed, 0, "seed"))
+    rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
     active = np.asarray(p.active)
     if active.size < 2:
         raise ValueError("need at least 2 active candidates")
@@ -339,9 +331,9 @@ def verification_run(
     estimate must land within 3 standard errors of half the objective.
     Both counts and the seed are checked before any check runs.
     """
-    _count(trials, 0, "trials")
-    _count(samples, 2, "samples")
-    seed = _count(seed, 0, "seed")
+    count_at_least(trials, 0, "trials")
+    count_at_least(samples, 2, "samples")
+    seed = count_at_least(seed, 0, "seed")
     mono = check_monotone(p, trials=trials, seed=seed)
     sub = check_submodular(p, mode="auto", trials=trials, seed=seed + 1)
     design = p.active

@@ -54,12 +54,11 @@ class WeightedSpace:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {M.shape}")
         require_finite(M, "weight matrix M")
-        scale = float(np.abs(M).max()) if M.size else 0.0
-        if scale == 0.0:
+        if not M.any():
             raise ValueError("weight matrix is zero")
-        if float(np.abs(M - M.T).max()) > sym_tol * scale:
+        sym = symmetric_part(M, sym_tol)
+        if sym is None:
             raise ValueError("weight matrix is not symmetric within tolerance")
-        sym = 0.5 * (M + M.T)
         try:
             chol = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError as exc:
@@ -145,11 +144,16 @@ def adjoint_forward(space: WeightedSpace, F) -> np.ndarray:
     return space.solve(F.T)
 
 
+def symmetric_part(B: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray | None:
+    """0.5 (B + B'), or None when B is not symmetric to tol relative to its largest entry."""
+    if float(np.abs(B - B.T).max()) > tol * float(np.abs(B).max()):
+        return None
+    return 0.5 * (B + B.T)
+
+
 def is_selfadjoint(T: Operator, tol: float = SYMMETRY_TOL) -> bool:
     """Whether M . rep is symmetric, relative to its largest entry."""
-    B = T.space.M @ T.rep
-    scale = float(np.abs(B).max())
-    return float(np.abs(B - B.T).max()) <= tol * scale
+    return symmetric_part(T.space.M @ T.rep, tol) is not None
 
 
 def rank1_det_factor(A: Operator, u, v) -> float:

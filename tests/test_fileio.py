@@ -411,6 +411,12 @@ def _verification_text():
         (_verification_text, "monotone_trials -3"),
         (_verification_text, "submodular_checks -1"),
         (_verification_text, "mc_samples -2"),
+        # the floors that verification_run, mc_eig and the CLI hold
+        (_selection_text, "seed -1"),
+        (_verification_text, "seed -4"),
+        (_verification_text, "mc_samples 1"),
+        (_verification_text, "monotone_violations -1"),
+        (_verification_text, "submodular_violations -1"),
     ],
 )
 def test_report_parse_rejects_malformed_field(make, bad):

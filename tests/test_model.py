@@ -97,6 +97,19 @@ def test_build_rejects_indefinite_prior():
         ss.build_problem(space, np.eye(2), np.ones(2), np.zeros(2), np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_build_rejects_singular_prior(seed):
+    """Gamma = Q diag(0, 1, 2) Q' is singular, but rounding leaves its smallest
+    eigenvalue a few ulps either side of 0: at seed 0 the Cholesky of M Gamma
+    alone refuses it, at seed 2 the eigenvalue test alone, and at seed 9 both
+    passed while the eigenvalue test asked only for w > 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    gpr = q @ np.diag([0.0, 1.0, 2.0]) @ q.T
+    space = ss.WeightedSpace.euclidean(3)
+    with pytest.raises(ValueError, match="not positive definite"):
+        ss.build_problem(space, np.eye(3), np.ones(3), np.zeros(3), gpr)
+
+
 def test_build_rejects_dimension_mismatch():
     space = ss.WeightedSpace.euclidean(3)
     with pytest.raises(ValueError):

@@ -134,6 +134,7 @@ def test_problem_text_round_trip(n, n_s, weighted, seed):
 
 numbers = st.floats(allow_nan=False)
 counts = st.integers(0, 10**6)
+samples = st.integers(2, 10**6)  # a standard error needs two
 sensors = st.lists(st.integers(0, 10**4), max_size=8, unique=True).map(tuple)
 hashes = st.text("0123456789abcdef", min_size=1, max_size=64)
 
@@ -171,7 +172,7 @@ verification_summaries = st.builds(
     monotone=st.builds(ss.MonotoneReport, counts, counts, numbers, numbers),
     submodular=st.builds(ss.SubmodularReport, st.sampled_from(("exhaustive", "random")),
                          counts, counts, numbers, st.none() | numbers),
-    mc=st.builds(ss.McEigEstimate, counts, numbers, numbers, counts),
+    mc=st.builds(ss.McEigEstimate, samples, numbers, numbers, counts),
     mc_design=sensors,
     mc_target=numbers,
     mc_ok=st.booleans(),

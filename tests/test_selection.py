@@ -404,6 +404,49 @@ def test_branch_and_bound_prunes_factor_rows(monkeypatch, spec, most):
     assert full == 10_625
 
 
+@pytest.mark.parametrize("spec, k, rows", [
+    (ss.ProblemSpec("chain", n=20, n_s=10, seed=7), 3, 4),  # README's chain
+    (ss.ProblemSpec("chain", n=100, n_s=24, seed=5), 5, 756),
+    (ss.ProblemSpec("random", n=40, n_s=24, seed=5), 5, 6),
+    (ss.ProblemSpec("random", n=40, n_s=24, seed=6), 5, 7),
+], ids=["readme-chain", "chain-100x24", "random-40x24-seed5", "random-40x24-seed6"])
+def test_best_bound_first_finds_its_own_incumbent(monkeypatch, spec, k, rows):
+    """Entering the child with the largest bound first, the first dive's
+    leaves give the incumbent, with no greedy pass before the search: fewer
+    rows than the 6, 760, 10 and 11 of a greedy pass and lexicographic order."""
+    p = ss.generate(spec)
+    assert _factor_rows(monkeypatch, lambda: selection._near_optimal(
+        objective.SchurKernel(p, k), k)) == rows
+
+
+def _phi_eig_calls(monkeypatch, run):
+    calls = []
+    phi_eig = objective.phi_eig
+
+    def counted(p, S):
+        calls.append(S)
+        return phi_eig(p, S)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(objective, "phi_eig", counted)
+        report = run()
+    return report, len(calls)
+
+
+def test_fixed_design_reports_score_each_design_once(monkeypatch):
+    """phi_final is the last prefix of the ascending trace, not a third call
+    on the chosen design: exhaustive breaks its two-way tie (2) and traces
+    3 prefixes; random_baseline traces 3 prefixes."""
+    p = _chain(20, 10, None, seed=7)
+    for run, calls in ((lambda: ss.exhaustive(p, 3), 5),
+                       (lambda: ss.random_baseline(p, 3, 1), 3)):
+        report, n = _phi_eig_calls(monkeypatch, run)
+        assert n == calls
+        assert report.phi_final == ss.phi_eig(p, report.chosen) == report.per_step[-1][2]
+    report, n = _phi_eig_calls(monkeypatch, lambda: ss.random_baseline(p, 0, 1))
+    assert (n, report.phi_final, report.per_step) == (0, 0.0, ())
+
+
 def test_certify_three_sensor_ratio_is_exactly_one():
     p = three_sensor_problem()
     g = ss.greedy(p, 2)

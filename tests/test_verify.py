@@ -123,7 +123,9 @@ def test_counts_below_the_report_floor_are_refused(monkeypatch):
     lambda p: ss.mc_eig(p, p.active, 10, -1),
     lambda p: ss.mc_eig(p, (), 10, -1),
     lambda p: ss.verification_run(p, trials=3, samples=10, seed=-1),
-], ids=["check_monotone", "check_submodular", "mc_eig", "mc_eig-empty", "verification_run"])
+    lambda p: ss.random_baseline(p, 3, seed=-1),
+], ids=["check_monotone", "check_submodular", "mc_eig", "mc_eig-empty", "verification_run",
+        "random_baseline"])
 def test_negative_seed_is_refused_before_any_draw(monkeypatch, run):
     p = random_problem(np.random.default_rng(94), 3, 5)
 
