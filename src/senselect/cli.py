@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from . import fileio
+from .model import count_at_least
 
 _FMT12 = "#.12g"
 
@@ -28,10 +29,11 @@ def _f12(x: float) -> str:
 def _count_at_least(lo: int):
     """argparse type of an integer flag that must be at least lo."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
-        return value
+        value = int(text)  # not an integer: argparse's own 'invalid int value'
+        try:
+            return count_at_least(value, lo, "")
+        except ValueError as exc:  # argparse names the flag
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
     parse.__name__ = "int"  # argparse names the type in its 'invalid int value' message
     return parse
 

@@ -25,8 +25,8 @@ checked rows, and an identity block is made once the last line is checked.
 Parsing 17-digit text is the slow part of reading a problem, so parsed
 blocks are cached under the SHA-256 of the file's bytes: write_problem
 stores the blocks of the file it writes, read_problem those of each file it
-parses.  A hit builds the problem through build_problem as a parse does, so
-a file reads as the same problem, with the same errors, either way.
+parses.  A hit builds the problem as a parse does, and is used if it has the
+stored content hash, so a file reads as one problem, with one error, either way.
 
 Report files carry the same header lines (schema_version, report kind,
 tool_version, problem_hash, timestamp) followed by the payload.  The
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Design, InverseProblem, build_problem, content_digest
+from .model import Design, InverseProblem, build_problem, content_digest, count_at_least
 from .wspace import WeightedSpace
 
 if TYPE_CHECKING:
@@ -240,13 +240,13 @@ def _ascii(data: bytes) -> str:
 
 
 # The cache of parsed blocks.  An entry is keyed by the bytes of the file it
-# was parsed from, so bump _CACHE_VERSION whenever the parse rules change.
-# An uncompressed .npz holds each block under its section name, an identity
-# block by its absence, and content_digest of the blocks as "content_hash";
-# it is used only if its arrays hash back to that value.  The cache keeps
-# the _CACHE_ENTRIES most recently used entries, and is skipped silently
-# where it cannot be written.
-_CACHE_VERSION = b"senselect problem cache 1\n"
+# was parsed from, so bump _CACHE_VERSION whenever the parse rules or the
+# entries change.  An uncompressed .npz holds each block under its section
+# name, an identity block by its absence, and the content_hash of the problem
+# the file reads back as, its reports' problem_hash, as "content_hash".  The
+# cache keeps the _CACHE_ENTRIES most recently used entries, and is skipped
+# silently where it cannot be written.
+_CACHE_VERSION = b"senselect problem cache 2\n"
 _CACHE_ENTRIES = 8
 _BLOCK_NAMES = ("M", "Gamma_pr", "F", "sigma", "m_pr")
 
@@ -266,9 +266,9 @@ def _cache_key(data: bytes) -> str:
     return h.hexdigest()
 
 
-def _cache_get(key: str):
-    """The blocks stored under key, or None when absent, unreadable or not
-    hashing back to their content hash.  A hit refreshes the entry's mtime."""
+def _cache_get(key: str) -> InverseProblem | None:
+    """The problem built from the blocks under key if it has the stored content
+    hash, else None; any fault is a miss.  A hit refreshes the entry's mtime."""
     path = _cache_path(key)
     if path is None:
         return None
@@ -278,18 +278,19 @@ def _cache_get(key: str):
             blocks = (entry.get("M"), entry.get("Gamma_pr"), entry["F"], entry["sigma"],
                       entry["m_pr"])
             stored = str(entry["content_hash"])
-        if content_digest(*_dense(blocks)) != stored:
+        p = _build(blocks)
+        if p.content_hash() != stored:
             return None
     except Exception:  # the cache only saves parses: any fault in an entry is a miss
         return None
     with suppress(OSError):
         os.utime(path)
-    return blocks
+    return p
 
 
-def _cache_put(key: str, blocks) -> None:
-    """Store blocks under key, then evict the least recently used entries
-    beyond _CACHE_ENTRIES.  A cache that cannot be written is skipped."""
+def _cache_put(key: str, blocks, content_hash: str) -> None:
+    """Store blocks and their problem's content_hash under key, then evict the
+    least recently used entries beyond _CACHE_ENTRIES.  An unwritable cache is skipped."""
     path = _cache_path(key)
     if path is None:
         return
@@ -301,7 +302,7 @@ def _cache_put(key: str, blocks) -> None:
         os.makedirs(where, mode=0o700, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=where)
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, content_hash=content_digest(*_dense(blocks)), **arrays)
+            np.savez(fh, content_hash=content_hash, **arrays)
         os.replace(tmp, path)
         tmp = None
         with os.scandir(where) as it:
@@ -315,19 +316,19 @@ def _cache_put(key: str, blocks) -> None:
 
 
 def read_problem(path) -> InverseProblem:
-    """The problem in a file, its blocks taken from the cache when these
-    bytes were parsed or written before.  A file is stored once it has
-    parsed and built, so a faulty file is parsed, and refused, every time."""
+    """The problem in a file, its blocks taken from the cache when these bytes
+    were parsed or written before; its content hash is made here, once.  A file
+    is stored once it has parsed and built, so a faulty one is refused every time."""
     data = _read_bytes(path)
     key = _cache_key(data)
-    blocks = _cache_get(key)
-    if blocks is not None:
-        return _build(blocks)
+    p = _cache_get(key)
+    if p is not None:
+        return p
     text = _ascii(data)
     del data  # the parse holds the text alone
     blocks = _parse_blocks(text)
     p = _build(blocks)
-    _cache_put(key, blocks)
+    _cache_put(key, blocks, p.content_hash())
     return p
 
 
@@ -363,14 +364,14 @@ def problem_text(p: InverseProblem) -> str:
 
 
 def write_problem(p: InverseProblem, path) -> None:
-    """Write p's file and store its blocks in the cache under the file's bytes."""
+    """Write p's file and cache its blocks, with their hash as read back, under its bytes."""
     blocks = _written_blocks(p)
     key = hashlib.sha256(_CACHE_VERSION)  # _cache_key of the bytes, as they are written
     with open(path, "wb") as fh:
         for data in _problem_lines(blocks):
             key.update(data)
             fh.write(data)
-    _cache_put(key.hexdigest(), blocks)
+    _cache_put(key.hexdigest(), blocks, content_digest(*_dense(blocks)))
 
 
 def default_timestamp() -> str:
@@ -412,9 +413,10 @@ def _unset_or(dump, load):
 
 def _at_least(lo: int, tok, what, lineno) -> int:
     value = _int(tok, what, lineno)
-    if value < lo:
-        raise ProblemFormatError(f"{what} must be at least {lo}, got {value}", lineno)
-    return value
+    try:
+        return count_at_least(value, lo, what)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), lineno) from None
 
 
 def _choice(words, tok, what, lineno) -> str:

@@ -133,13 +133,17 @@ class InverseProblem:
             raise ValueError("prior covariance has nonpositive determinant")
         return float(val)
 
+    @cached_property
+    def _hash(self) -> str:
+        return content_digest(self.space.M, self.gamma_pr.rep, self.F, self.sigma, self.m_pr)
+
     def content_hash(self) -> str:
-        """Stable hex digest of the mathematical content of the problem."""
-        return content_digest(self.space.M, self.F, self.sigma, self.m_pr, self.gamma_pr.rep)
+        """Stable hex digest of the problem's content, made once; its reports' problem_hash."""
+        return self._hash
 
 
-def content_digest(M, F, sigma, m_pr, gamma_pr) -> str:
-    """content_hash of a problem holding these arrays."""
+def content_digest(M, gamma_pr, F, sigma, m_pr) -> str:
+    """content_hash of these blocks, given in file order but digested in the first order."""
     h = hashlib.sha256()
     h.update(b"senselect-problem-v1")
     for tag, arr in ((b"M", M), (b"F", F), (b"sigma", sigma), (b"m_pr", m_pr),
@@ -200,7 +204,7 @@ class Design:
 
 
 def count_at_least(value, lo: int, name: str) -> int:
-    """value as an int, refused by name below lo; read_report holds the same floors."""
+    """value as an int, refused by name below lo; the CLI and read_report call it too."""
     value = int(value)
     if value < lo:
         raise ValueError(f"{name} must be at least {lo}, got {value}")

@@ -247,6 +247,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     phi = _reference_phi(p, [[i for b, i in enumerate(p.active) if mask >> b & 1]
                              for mask in range(1 << m)])
     bits = 1 << np.arange(m)
+    pairs = [np.nonzero(~np.eye(s, dtype=bool)) for s in range(m + 1)]  # [v, w], v != w
     kern = objective.SchurKernel(p, m)
     checks = violations = 0
     max_breach = -math.inf
@@ -262,10 +263,10 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
         max_err = max(max_err, float(err.max(initial=0.0)))
         violations += int(np.count_nonzero(err > FORMULA_TOL))
         if rest.size > 1:
-            cond = objective.conditioned_gain(a[:, None], kern.block(rest), a[None, :])
-            pair = ~np.eye(rest.size, dtype=bool)  # [v, w] with v != w
-            breach = (cond - plain[:, None])[pair]
-            err = np.abs(cond - (phi[mask | bits[rest][:, None] | bits[rest]] - up))[pair]
+            v, w = pairs[rest.size]
+            cond = objective.conditioned_gain(a[v], kern.block(rest)[v, w], a[w])
+            breach = cond - plain[v]
+            err = np.abs(cond - (phi[mask | bits[rest[v]] | bits[rest[w]]] - up[w]))
             checks += breach.size
             max_breach = max(max_breach, float(breach.max()))
             max_err = max(max_err, float(err.max()))

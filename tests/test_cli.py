@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import fileio
+from senselect import fileio, model
 from senselect.cli import main
 
 from conftest import three_sensor_problem
@@ -217,6 +217,36 @@ def test_greedy_report_parses_and_hash_matches(pair_file, tmp_path, capsys):
     assert rep.payload.chosen.indices == (0, 2)
     assert rep.problem_hash == fileio.read_problem(pair_file).content_hash()
     assert rep.payload.bound_certificate.ratio == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "chain", "--n", "20", "--n-s", "10", "--seed", "7", "--out", "{r}"],
+    ["eval", "{p}", "1,3"],
+    ["greedy", "{p}", "2", "--out", "{r}"],
+    ["greedy", "{p}", "2", "--certify", "--out", "{r}"],
+    ["exhaustive", "{p}", "2", "--out", "{r}"],
+    ["verify", "{p}", "--trials", "5", "--samples", "50", "--out", "{r}"],
+], ids=["gen", "eval", "greedy", "greedy-certify", "exhaustive", "verify"])
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+def test_each_command_digests_its_problem_once(tmp_path, capsys, monkeypatch, argv, cached):
+    """read_problem computes the content hash, checks or stores the cache
+    entry with it, and every report reuses it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    path = tmp_path / "p.txt"
+    if cached:
+        fileio.write_problem(three_sensor_problem(), path)
+    else:
+        path.write_text(fileio.problem_text(three_sensor_problem()))
+    calls = []
+    digest = model.content_digest
+
+    def counted(*arrays):
+        calls.append(arrays)
+        return digest(*arrays)
+    monkeypatch.setattr(model, "content_digest", counted)
+    monkeypatch.setattr(fileio, "content_digest", counted)
+    assert main([a.format(p=path, r=tmp_path / "out.txt") for a in argv]) == 0
+    assert len(calls) == 1
 
 
 def test_greedy_threads_flag(pair_file, capsys):

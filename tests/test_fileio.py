@@ -3,13 +3,14 @@
 import os
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import senselect as ss
-from senselect import fileio, numtext
+from senselect import fileio, model, numtext
 
 from conftest import identity_problem, random_problem, report_fields, three_sensor_problem
 
@@ -548,8 +549,25 @@ def _tamper(entry):
         np.savez(fh, **arrays)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _tamper, lambda e: e.write_bytes(b"")],
-                         ids=["truncated", "tampered", "empty"])
+def _unbuildable(entry, rehash=False):
+    """A negative sigma, which the build refuses, under the stored content
+    hash or under the digest of the damaged arrays."""
+    with np.load(entry, allow_pickle=False) as z:
+        arrays = {name: z[name] for name in z.files}
+    arrays["sigma"][0] = -1.0
+    if rehash:
+        eye = np.eye(arrays["m_pr"].size)
+        arrays["content_hash"] = model.content_digest(
+            arrays.get("M", eye), arrays.get("Gamma_pr", eye), arrays["F"], arrays["sigma"],
+            arrays["m_pr"])
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _tamper, lambda e: e.write_bytes(b""),
+                                    _unbuildable, partial(_unbuildable, rehash=True)],
+                         ids=["truncated", "tampered", "empty", "unbuildable",
+                              "unbuildable-rehashed"])
 def test_damaged_entry_is_a_miss_and_is_rewritten(cache, parses, tmp_path, damage):
     path = tmp_path / "p.prob"
     p = three_sensor_problem()
@@ -643,3 +661,6 @@ def test_hit_is_bitwise_the_parse(cache, parses, tmp_path, make, seed_by):
         # strides too: BLAS may round differently on a transposed layout
         assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
     assert hit.content_hash() == parsed.content_hash()
+    # the entry holds the problem_hash of the file's reports
+    with np.load(entry_of(cache, path), allow_pickle=False) as entry:
+        assert str(entry["content_hash"]) == fileio.read_problem(path).content_hash()
