@@ -5,19 +5,18 @@ run under its own method name.  Minoux's stale upper bounds would save
 nothing here: every gain falls out of the factor row that a selection
 appends anyway, one O(m) residual update per step.  exhaustive finds the
 optimum over every size-k subset, under a configurable cap on their
-number, by depth-first branch and bound on an explicit stack: entering
-a prefix costs one factor row, shared by all of its extensions, one
-Schur block over its children gives their gains, and submodularity
-turns those into a bound on what any extension can add, so a prefix
-that cannot reach the tie band is never extended.  The child with the
-largest bound is entered first, so the first leaves the search scores
-are its incumbent; no separate greedy pass is needed.  Both run
-on objective.SchurKernel.  Designs whose kernel value lies within
-TIE_RTOL of the best, the steps of greedy and the subsets of exhaustive
-alike, are re-scored by phi_eig, and exact ties go to the
-lexicographically smallest design.  certify_bound
-attaches the (1 - 1/e) optimality certificate that monotonicity plus
-submodularity guarantee for the greedy value.
+number, by depth-first branch and bound on a stack of node frames:
+entering a prefix costs one factor row, shared by all of its extensions,
+one Schur block over its children gives their gains, and submodularity
+turns those into a bound on what any extension can add.  Each child is
+tested against the tie band once, when its turn comes, largest bound
+first, so the first leaves the search scores are its incumbent and no
+greedy pass is needed.  Both run on objective.SchurKernel.  Designs whose
+kernel value lies within TIE_RTOL of the best, the steps of greedy and
+the subsets of exhaustive alike, are re-scored by phi_eig, and exact ties
+go to the lexicographically smallest design.  certify_bound attaches the
+(1 - 1/e) optimality certificate that monotonicity plus submodularity
+guarantee for the greedy value.
 """
 
 from __future__ import annotations
@@ -175,28 +174,29 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     """Size-k position sets whose kernel phi lies within TIE_RTOL of the best.
 
     Branch and bound over the prefixes, depth first on an explicit stack,
-    so no budget is limited by recursion depth.  A node is (prefix, phi,
-    parent_phi, bound): bound is the most that any size-k extension of the
-    prefix can add to its parent's phi.  A node's children are pushed in
-    ascending order of bound, so the one with the largest bound is popped
-    and entered first.  best starts at -inf; the first leaves scored, at
-    the end of that first dive, set it.  A child whose parent_phi + bound
-    lies below the tie floor (1 - TIE_RTOL) * best is not pushed, and a
-    node that best has left below it by the time its turn comes is
-    skipped; comparing with the floor, not with best, keeps every member
-    of the band.  Every comparison gives way by _rounding_margin, which
-    bounds how far two evaluations of one design's kernel phi can differ.
+    so no budget is limited by recursion depth; kern starts fresh (t = 0).
+    The stack holds one frame (prefix, phi, children) per node entered, with
+    the (bound, position, phi) of the children not yet entered in ascending
+    order: bound is the most that any size-k extension through the child
+    can add to the node's phi.  The loop enters the top frame's last child,
+    the one with the largest bound, or pops the frame once that bound lies
+    below the tie floor (1 - TIE_RTOL) * best, since no sibling left has a
+    larger one.  best starts at -inf; the first leaves scored, at the end
+    of the first dive, set it.  Comparing with the floor, not with best,
+    keeps every member of the band, and the comparison gives way by
+    _rounding_margin, which bounds how far two evaluations of one design's
+    kernel phi can differ.
 
-    Entering a node appends the factor row of its last position through
-    the SchurKernel.add that greedy calls.  One child step follows, the
-    same at every depth: row c of the Schur block K[C, R] - E[:, C]' E[:, R]
-    over the children C and the positions R after them, scaled by
-    1 / sqrt(1 + r_c), is child c's factor row, so g = log1p(r - e_c * e_c)
-    are c's gains.  With q elements still to choose, q == 2 scores every
-    leaf as phi + log1p(r_c) + g; otherwise each child is pushed with the
-    bound log1p(r_c) plus the sum of its q - 1 largest gains, which
-    submodularity makes an upper bound.  The band drops the sets left
-    behind whenever best rises, and is returned in lexicographic order.
+    Entering a child appends its factor row through the SchurKernel.add
+    that greedy calls, so nodes entered = add calls + 1.  One child step
+    follows, the same at the root and at every depth: row c of the Schur
+    block K[C, R] - E[:, C]' E[:, R] over the children C and the positions
+    R after them, scaled by 1 / sqrt(1 + r_c), is child c's factor row, so
+    g = log1p(r - e_c * e_c) are c's gains.  With q elements still to
+    choose, q == 2 scores every leaf as phi + log1p(r_c) + g and leaves no
+    child; otherwise c's bound is log1p(r_c) plus the sum of its q - 1
+    largest gains, which submodularity makes an upper bound.  The band drops
+    the sets left behind whenever best rises; it is returned sorted.
     """
     if k == 0:
         return [()]
@@ -205,40 +205,40 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         return [(j,) for j in np.flatnonzero(vals >= (1.0 - TIE_RTOL) * vals.max()).tolist()]
     m = len(kern.active)
     margin = _rounding_margin(kern, k)
-    best = floor = -math.inf
-    band = []
-    stack = [((), 0.0, 0.0, math.inf)]
-    while stack:
-        prefix, phi, parent_phi, bound = stack.pop()
-        if bound < floor - margin - parent_phi:
-            continue
-        t = len(prefix)
-        kern.t = max(t - 1, 0)
-        if t:
-            kern.add(prefix[-1])
-        r, q = kern.r, k - t
-        kids = np.arange(prefix[-1] + 1 if t else 0, m - q + 1)
+    best, floor, band = -math.inf, -math.inf, []
+
+    def frame(prefix: tuple[int, ...], phi: float) -> tuple:
+        nonlocal best, floor, band
+        r, q = kern.r, k - len(prefix)
+        kids = np.arange(prefix[-1] + 1 if prefix else 0, m - q + 1)
         cols = np.arange(kids[0] + 1, m)
         e = kern.block(kids, cols) / np.sqrt(1.0 + r[kids])[:, None]
         g = np.log1p(r[cols] - e * e)
         g[cols <= kids[:, None]] = -math.inf  # only the positions after each child
         up = [phi + math.log1p(x) for x in r[kids].tolist()]
-        if q == 2:
-            vals = np.array(up)[:, None] + g
-            top = float(vals.max())
-            if top > best:
-                best, floor = top, (1.0 - TIE_RTOL) * top
-                band = [(v, s) for v, s in band if v >= floor]
-            for a, b in zip(*np.nonzero(vals >= floor)):
-                band.append((float(vals[a, b]), prefix + (int(kids[a]), int(cols[b]))))
-        else:
+        if q > 2:
             top = np.partition(g, cols.size - q + 1, axis=1)[:, cols.size - q + 1:].sum(axis=1)
             bounds = np.log1p(r[kids]) + top
-            # best only rises, so a child below the floor now would be skipped when popped
-            kept = [(prefix + (c,), f, phi, b) for c, f, b in zip(kids.tolist(), up, bounds.tolist())
-                    if b >= floor - margin - phi]
-            kept.sort(key=lambda node: node[3])  # the largest bound is popped, and entered, first
-            stack.extend(kept)
+            return prefix, phi, sorted(zip(bounds.tolist(), kids.tolist(), up))
+        vals = np.array(up)[:, None] + g
+        top = float(vals.max())
+        if top > best:
+            best, floor = top, (1.0 - TIE_RTOL) * top
+            band = [(v, s) for v, s in band if v >= floor]
+        for a, b in zip(*np.nonzero(vals >= floor)):
+            band.append((float(vals[a, b]), prefix + (int(kids[a]), int(cols[b]))))
+        return prefix, phi, []
+
+    stack = [frame((), 0.0)]
+    while stack:
+        prefix, phi, children = stack[-1]
+        if not children or children[-1][0] < floor - margin - phi:
+            stack.pop()
+            continue
+        _, c, phi = children.pop()
+        kern.t = len(prefix)
+        kern.add(c)
+        stack.append(frame(prefix + (c,), phi))
     return sorted(s for _, s in band)
 
 

@@ -209,9 +209,16 @@ def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     """Every draw stays in its order; the reference values come in one call.
 
     Neither check makes a phi_eig call: check_monotone's formula side walks
-    one SchurKernel instead of building a design_state per trial.
+    one SchurKernel instead of building a design_state per trial.  On a
+    problem with gaps in p.active, a candidate outside a design is drawn
+    from the active ones alone.
     """
     p = random_problem(np.random.default_rng(101), 5, 14)
+    dead = random_problem(np.random.default_rng(102), 5, 14)
+    f = dead.F.copy()
+    f[[0, 6, 7, 12]] = 0.0
+    gaps = ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
+    assert gaps.inactive == (0, 6, 7, 12)
     batches, phi_eig_calls = [], []
     reference, phi_eig = verify._reference_phi, objective.phi_eig
 
@@ -228,10 +235,14 @@ def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     ss.check_submodular(p, mode="random", trials=40, seed=23)
     ss.check_submodular(identity_problem(4), mode="exhaustive")
     ss.check_monotone(p, trials=30, seed=22)
+    ss.check_submodular(gaps, mode="random", trials=40, seed=23)
+    ss.check_monotone(gaps, trials=30, seed=22)
     assert phi_eig_calls == []
     assert batches[0] == _parent_draws(p, 40, 23, monotone=False)
     assert len(batches[1]) == 2 ** 4
     assert batches[2] == _parent_draws(p, 30, 22, monotone=True)
+    assert batches[3] == _parent_draws(gaps, 40, 23, monotone=False)
+    assert batches[4] == _parent_draws(gaps, 30, 22, monotone=True)
     # recorded from the checks that called phi_eig once per design
     assert batches[0][:4] == [(8,), (), (9, 8), (9,)]
     S = (0, 1, 2, 3, 5, 6, 7, 10, 11, 13)
