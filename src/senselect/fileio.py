@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .model import Design, InverseProblem, build_problem, content_digest, count_at_least
 from .wspace import WeightedSpace
 
@@ -63,7 +64,6 @@ if TYPE_CHECKING:
     from .verify import VerificationSummary
 
 SCHEMA_VERSION = "1"
-TOOL_VERSION = "0.1.0"
 
 
 class ProblemFormatError(ValueError):

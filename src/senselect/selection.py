@@ -35,9 +35,10 @@ EXHAUSTIVE_CAP = 2_000_000
 GAIN_MONOTONE_TOL = 1e-9
 # Greedy candidates whose Schur residual, and hence gain, lies within this
 # relative distance of the best, and exhaustive subsets whose kernel phi
-# does, are re-scored by phi_eig.  Mirror-symmetric designs tie in exact
-# arithmetic; without the re-score rounding noise of the kernel would
-# decide which one comes first.
+# does, are re-scored by phi_eig.  Mirror-symmetric designs tie only on the
+# unrounded problem: on a file's values exact arithmetic separates them by
+# 1e-16 to 2e-14, below phi_eig's own error, so the re-score settles them by
+# rounding, the same way on every run, not by the kernel's rounding noise.
 TIE_RTOL = 1e-10
 CERTIFICATE_SLACK = 1e-12
 GUARANTEE_FLOOR = 1.0 - 1.0 / math.e

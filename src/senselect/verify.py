@@ -5,7 +5,8 @@ information-theoretic meaning: the expected (over prior draws and
 simulated data) Kullback-Leibler divergence from posterior to prior must
 match half of log det(I + Ht(S)).  check_monotone and check_submodular
 test the two structural properties behind the greedy guarantee, comparing
-the closed-form gains against from-scratch objective differences.
+the closed-form gains against from-scratch objective differences on designs
+of positions in p.active, as SchurKernel's; only mc_eig takes sensor indices.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class SubmodularReport:
 def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     """phi of every design in designs, from scratch: the checks' reference values.
 
-    designs are sequences of active sensor indices, drawn by the checks
+    designs are sequences of positions in p.active, drawn by the checks
     themselves.  With W_S a design's columns of p.whitened, as SchurKernel
     reads them, Sylvester's identity det(I_n + W_S W_S') = det(I_s + W_S' W_S)
     lets each value come from the Cholesky factor of the smaller of the
@@ -141,14 +142,14 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     values; the empty design gets exactly 0.
     """
     out = np.zeros(len(designs))
-    w = p.whitened.T  # row j: sensor p.active[j]
+    w = p.whitened.T  # row j: position j, sensor p.active[j]
     by_size = {}
     for pos, d in enumerate(designs):
         by_size.setdefault(len(d), []).append(pos)
     for size, pos in by_size.items():
         if size:
             S = np.sort(np.array([designs[i] for i in pos]), axis=1)
-            v = w[np.searchsorted(p.active, S)]  # (designs, size, n)
+            v = w[S]  # (designs, size, n)
             gram = v @ v.transpose(0, 2, 1) if size <= p.n else v.transpose(0, 2, 1) @ v
             np.einsum("bii->bi", gram)[...] += 1.0
             c = np.linalg.cholesky(gram)
@@ -156,14 +157,13 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     return out
 
 
-def _draw_outside(rng: np.random.Generator, active: np.ndarray, S) -> int:
-    """One active candidate outside the design S, drawn uniformly by rng.
+def _draw_outside(rng: np.random.Generator, m: int, S) -> int:
+    """One of the positions 0 .. m-1 outside the design S, drawn uniformly by rng.
 
-    S is a set of active candidates, so deleting their positions leaves
-    active's other entries in order, in O(m + |S| log m).  np.setdiff1d
-    gives the same array but imports numpy.ma, about 1.7 MB of peak memory.
+    Deleting S keeps the others in order, in O(m); np.setdiff1d gives the
+    same array but imports numpy.ma, about 1.7 MB of peak memory.
     """
-    return int(rng.choice(np.delete(active, np.searchsorted(active, S))))
+    return int(rng.choice(np.delete(np.arange(m), S)))
 
 
 def _extreme(value: float, count: int) -> float:
@@ -174,26 +174,26 @@ def _extreme(value: float, count: int) -> float:
 def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> MonotoneReport:
     """Sampled strict-monotonicity check.
 
-    Each trial draws a random design S and a candidate v outside it, then
-    requires the from-scratch difference phi(S + v) - phi(S) to be
-    strictly positive (above a tiny floor) and to match log(1 + a_vv)
-    within an absolute tolerance.  Inactive candidates are never sampled.
-    All designs are drawn first, in the order of the trials, and both
-    from-scratch values of every trial come from one _reference_phi
-    call.  The formula side rewinds one SchurKernel per trial, adds S in
-    index order as design_state does, and reads v's residual.  min_gain
-    is 0.0 when no trial ran.
+    Each trial draws a random design S and a candidate v outside it, as
+    positions in p.active, so inactive candidates are never sampled, then
+    requires the from-scratch difference phi(S + v) - phi(S) to be strictly
+    positive (above a tiny floor) and to match log(1 + a_vv) within an
+    absolute tolerance.  All designs are drawn first, in the order of the
+    trials, and both from-scratch values of every trial come from one
+    _reference_phi call.  The formula side rewinds one SchurKernel per
+    trial, adds S in order as design_state does, and reads v's residual.
+    min_gain is 0.0 when no trial ran.
     """
     trials = count_at_least(trials, 0, "trials")
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
-    active = np.asarray(p.active)
-    if active.size == 0:
+    m = len(p.active)
+    if m == 0:
         raise ValueError("problem has no active candidates")
     draws = []
     for _ in range(trials):
-        size = int(rng.integers(0, active.size))
-        S = tuple(int(i) for i in np.sort(rng.choice(active, size, replace=False)))
-        draws.append((S, _draw_outside(rng, active, S)))
+        size = int(rng.integers(0, m))
+        S = tuple(int(i) for i in np.sort(rng.choice(m, size, replace=False)))
+        draws.append((S, _draw_outside(rng, m, S)))
     ref = _reference_phi(p, [d for S, v in draws for d in (S, S + (v,))]).reshape(-1, 2)
     kern = objective.SchurKernel(p, max((len(S) for S, v in draws), default=0))
     violations = 0
@@ -201,10 +201,10 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     max_err = 0.0
     for (S, v), (phi_S, phi_Sv) in zip(draws, ref.tolist()):
         kern.t = 0
-        for j in np.searchsorted(active, S).tolist():
+        for j in S:
             kern.add(j)
         dense_gain = phi_Sv - phi_S
-        formula_gain = objective.gain(float(kern.r[int(np.searchsorted(active, v))]))
+        formula_gain = objective.gain(float(kern.r[v]))
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
         max_err = max(max_err, err)
@@ -244,8 +244,8 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     """Every design A and ordered pair (v, w) outside it, a block at a time.
 
     phi of every subset, from _reference_phi, is held in a table indexed
-    by the bit mask of its positions in p.active.  The designs are visited depth first in
-    lexicographic order on one SchurKernel, one add per design, so a
+    by the bit mask of its positions.  The designs are visited depth first
+    in lexicographic order on one SchurKernel, one add per design, so a
     design's residuals, the plain gains log1p(a_vv), are its r.  One
     Schur block over the remaining positions gives every a_vw, and with
     it the conditioned gain of every pair at once.
@@ -253,8 +253,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     m = len(p.active)
     if m > 16:
         raise ValueError("exhaustive mode is limited to 16 active candidates")
-    phi = _reference_phi(p, [[i for b, i in enumerate(p.active) if mask >> b & 1]
-                             for mask in range(1 << m)])
+    phi = _reference_phi(p, [[b for b in range(m) if mask >> b & 1] for mask in range(1 << m)])
     bits = 1 << np.arange(m)
     pairs = [np.nonzero(~np.eye(s, dtype=bool)) for s in range(m + 1)]  # [v, w], v != w
     kern = objective.SchurKernel(p, m)
@@ -293,17 +292,17 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
 def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> SubmodularReport:
     """trials draws of A inside B and v outside B, all drawn before any value."""
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
-    active = np.asarray(p.active)
-    if active.size < 2:
+    m = len(p.active)
+    if m < 2:
         raise ValueError("need at least 2 active candidates")
     designs = []
     for _ in range(trials):
-        b_size = int(rng.integers(1, active.size))
-        B = np.sort(rng.choice(active, b_size, replace=False))
+        b_size = int(rng.integers(1, m))
+        B = np.sort(rng.choice(m, b_size, replace=False))
         a_size = int(rng.integers(0, b_size + 1))
         A = tuple(int(i) for i in np.sort(rng.choice(B, a_size, replace=False)))
         B = tuple(int(i) for i in B)
-        v = _draw_outside(rng, active, B)
+        v = _draw_outside(rng, m, B)
         designs += [A + (v,), A, B + (v,), B]
     phi = _reference_phi(p, designs).reshape(-1, 4)
     breach = (phi[:, 2] - phi[:, 3]) - (phi[:, 0] - phi[:, 1])  # gain at B - gain at A

@@ -11,6 +11,7 @@ import importlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -229,6 +230,17 @@ def _readme_session():
     ]
 
 
+def _readme_library_use():
+    """README.md's Python block, and the value each `print(...)  # value` line
+    promises; a note after the value follows two or more spaces."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("```python") + 1
+    block = list(itertools.takewhile(lambda s: s != "```", lines[start:]))
+    want = [re.split(r"\s{2,}", s.split("#", 1)[1].strip())[0]
+            for s in block if s.startswith("print(")]
+    return "\n".join(block), want
+
+
 def test_criterion_08_byte_identical_reports_across_runs(tmp_path):
     problem = tmp_path / "chain.txt"
     gen = ["gen", "--kind", "chain", "--n", "14", "--n-s", "7", "--seed", "5",
@@ -290,6 +302,14 @@ def test_readme_session_stdout_under_blas_threads(tmp_path, threads):
     assert [a[0] for a, _ in session] == ["gen", "greedy", "eval"]
     for argv, want in session:
         assert _run_cli(argv, tmp_path, OPENBLAS_NUM_THREADS=threads).splitlines() == want
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_library_use_prints_its_comments(tmp_path, threads):
+    """README's Python block prints the value in the comment of each print."""
+    code, want = _readme_library_use()
+    assert len(want) == 4
+    assert _run_python(["-c", code], tmp_path, OPENBLAS_NUM_THREADS=threads).splitlines() == want
 
 
 def test_cli_never_imports_scipy(tmp_path):

@@ -1,9 +1,11 @@
 """Problem and report file round trips, shorthand forms, and parse errors."""
 
 import os
+import re
 import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,18 @@ def test_hash_changes_with_any_field():
     assert p.content_hash() != q.content_hash()
     r = fileio.parse_problem_text(GOOD)
     assert p.content_hash() == r.content_hash()
+
+
+def test_one_version_in_pyproject_package_and_reports(tmp_path):
+    """pyproject.toml's version is the package's, and reports carry it.
+
+    A regex reads the file: tomllib needs Python 3.11, and the project
+    supports 3.10."""
+    toml = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^version = "([^"]+)"$', toml) == [ss.__version__]
+    path = tmp_path / "report.txt"
+    ss.write_report(ss.greedy(three_sensor_problem(), 2), path)
+    assert ss.read_report(path).tool_version == ss.__version__
 
 
 def test_selection_report_round_trip(tmp_path):

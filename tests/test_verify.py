@@ -154,7 +154,8 @@ def test_no_trial_reads_zero_min_gain():
 
 
 def test_reference_phi_matches_phi_eig_on_both_gram_sides():
-    """Designs smaller and larger than n, on ill-conditioned instances.
+    """Designs smaller and larger than n, on ill-conditioned instances; a
+    design holds positions in p.active, as the checks draw them.
 
     Each value, from either side, is a Cholesky factorization of
     dimension at most n + s whose entries are bounded by 1 + max K_vv, so
@@ -168,12 +169,14 @@ def test_reference_phi_matches_phi_eig_on_both_gram_sides():
         p = random_problem(rng, n, 3 * n + 4, cond=1e4)
         w = p.space.whitening_factor.T @ p.precond_vecs
         big = 1.0 + float(np.max(np.sum(w * w, axis=0)))
-        sizes = [0, 1, n - 1, n, n + 1, p.n_s, *rng.integers(0, p.n_s + 1, 20).tolist()]
-        designs = [tuple(rng.choice(p.n_s, s, replace=False).tolist()) for s in sizes]
+        m = len(p.active)
+        sizes = [0, 1, n - 1, n, n + 1, m, *rng.integers(0, m + 1, 20).tolist()]
+        designs = [tuple(rng.choice(m, s, replace=False).tolist()) for s in sizes]
         assert {len(d) > n for d in designs} == {False, True}
         got = verify._reference_phi(p, designs)
         for d, value in zip(designs, got.tolist()):
-            assert abs(value - ss.phi_eig(p, d)) <= 2.0 * (n + len(d)) * eps * big
+            sensors = [p.active[j] for j in d]
+            assert abs(value - ss.phi_eig(p, sensors)) <= 2.0 * (n + len(d)) * eps * big
         assert got[0] == 0.0
         # a design's order does not matter, and equal designs get equal values
         again = verify._reference_phi(p, [d[::-1] for d in designs])
@@ -182,8 +185,8 @@ def test_reference_phi_matches_phi_eig_on_both_gram_sides():
 
 def _parent_draws(p, trials, seed, monotone):
     """The designs the sampled checks evaluated before their values were batched,
-    drawn one trial at a time: (S, S + v) per monotone trial, (A + v, A, B + v, B)
-    per submodular one."""
+    drawn one trial at a time as sensor indices: (S, S + v) per monotone trial,
+    (A + v, A, B + v, B) per submodular one."""
     rng = np.random.default_rng(seed)
     active = np.asarray(p.active)
     out = []
@@ -205,13 +208,25 @@ def _parent_draws(p, trials, seed, monotone):
     return out
 
 
+def _parent_table(p):
+    """The designs of the exhaustive check's table, as sensor indices, by bit mask."""
+    return [tuple(i for b, i in enumerate(p.active) if mask >> b & 1)
+            for mask in range(1 << len(p.active))]
+
+
+def _sensors(p, batch):
+    """A batch of designs in positions of p.active, as sensor indices."""
+    return [tuple(p.active[j] for j in d) for d in batch]
+
+
 def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     """Every draw stays in its order; the reference values come in one call.
 
     Neither check makes a phi_eig call: check_monotone's formula side walks
-    one SchurKernel instead of building a design_state per trial.  On a
-    problem with gaps in p.active, a candidate outside a design is drawn
-    from the active ones alone.
+    one SchurKernel instead of building a design_state per trial.  The
+    checks draw positions in p.active; mapped to sensors, they are the
+    index designs of _parent_draws.  On a problem with gaps in p.active, a
+    candidate outside a design is drawn from the active ones alone.
     """
     p = random_problem(np.random.default_rng(101), 5, 14)
     dead = random_problem(np.random.default_rng(102), 5, 14)
@@ -219,6 +234,7 @@ def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     f[[0, 6, 7, 12]] = 0.0
     gaps = ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
     assert gaps.inactive == (0, 6, 7, 12)
+    ident = identity_problem(4)
     batches, phi_eig_calls = [], []
     reference, phi_eig = verify._reference_phi, objective.phi_eig
 
@@ -233,20 +249,22 @@ def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     monkeypatch.setattr(verify, "_reference_phi", recording)
     monkeypatch.setattr(objective, "phi_eig", counting)
     ss.check_submodular(p, mode="random", trials=40, seed=23)
-    ss.check_submodular(identity_problem(4), mode="exhaustive")
+    ss.check_submodular(ident, mode="exhaustive")
     ss.check_monotone(p, trials=30, seed=22)
     ss.check_submodular(gaps, mode="random", trials=40, seed=23)
     ss.check_monotone(gaps, trials=30, seed=22)
+    ss.check_submodular(gaps, mode="exhaustive")
     assert phi_eig_calls == []
-    assert batches[0] == _parent_draws(p, 40, 23, monotone=False)
-    assert len(batches[1]) == 2 ** 4
-    assert batches[2] == _parent_draws(p, 30, 22, monotone=True)
-    assert batches[3] == _parent_draws(gaps, 40, 23, monotone=False)
-    assert batches[4] == _parent_draws(gaps, 30, 22, monotone=True)
+    assert _sensors(p, batches[0]) == _parent_draws(p, 40, 23, monotone=False)
+    assert _sensors(ident, batches[1]) == _parent_table(ident)
+    assert _sensors(p, batches[2]) == _parent_draws(p, 30, 22, monotone=True)
+    assert _sensors(gaps, batches[3]) == _parent_draws(gaps, 40, 23, monotone=False)
+    assert _sensors(gaps, batches[4]) == _parent_draws(gaps, 30, 22, monotone=True)
+    assert _sensors(gaps, batches[5]) == _parent_table(gaps)
     # recorded from the checks that called phi_eig once per design
-    assert batches[0][:4] == [(8,), (), (9, 8), (9,)]
+    assert _sensors(p, batches[0][:4]) == [(8,), (), (9, 8), (9,)]
     S = (0, 1, 2, 3, 5, 6, 7, 10, 11, 13)
-    assert batches[2][:2] == [S, S + (4,)]
+    assert _sensors(p, batches[2][:2]) == [S, S + (4,)]
 
 
 def test_mc_scalar_matches_analytic_value():
