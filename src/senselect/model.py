@@ -278,8 +278,21 @@ def posterior(p: InverseProblem, S, y) -> Posterior:
     if not idx:
         mean = np.broadcast_to(p.m_pr, y.shape[:-1] + (p.n,)).copy()
         return Posterior(mean, Operator(p.space, p.gamma_pr.rep.copy()))
+    cov_rep = _posterior_cov(p, idx)
+    return Posterior(_posterior_mean(p, idx, y, cov_rep), Operator(p.space, cov_rep))
+
+
+def _posterior_cov(p: InverseProblem, idx) -> np.ndarray:
+    """Gamma_post = (H(S) + Gamma_pr^-1)^-1 of a nonempty validated design.
+
+    It does not depend on the data, so mc_eig forms it once per call.
+    """
+    return np.linalg.inv(hessian_misfit(p, idx).rep + p.gamma_pr_inv.rep)
+
+
+def _posterior_mean(p: InverseProblem, idx, y, cov_rep) -> np.ndarray:
+    """Posterior mean rows for data rows y, given the design's Gamma_post."""
     cols = list(idx)
-    cov_rep = np.linalg.inv(hessian_misfit(p, idx).rep + p.gamma_pr_inv.rep)
     # rows M^-1 F_S' Gn^-1 y = sum_i y_i / sigma_i s_i, from the cached s_i
     rhs = (y / p.sigma[cols]) @ p.sensor_vecs[:, cols].T + p.gamma_pr_inv.rep @ p.m_pr
-    return Posterior(rhs @ cov_rep.T, Operator(p.space, cov_rep))
+    return rhs @ cov_rep.T

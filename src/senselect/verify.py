@@ -17,14 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import objective
-from .model import InverseProblem, Posterior, count_at_least, posterior, validate_design
+from .model import InverseProblem, Posterior, count_at_least, validate_design
+from .model import _posterior_cov, _posterior_mean
 
 GAIN_FLOOR = 1e-14
 FORMULA_TOL = 1e-9
 SUBMODULAR_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 10
-# mc_eig maps its draws to data and divergences this many samples at a
-# time, so that only the standard normal draws are held in full
+# mc_eig draws, maps to data and scores this many samples at a time, so
+# that it holds two (n + |S|) x _MC_BLOCK blocks of draws at most, whatever
+# the sample count
 _MC_BLOCK = 1000
 
 
@@ -41,16 +43,24 @@ def kl_gaussian(p: InverseProblem, post: Posterior):
     per data set (see posterior) gives one divergence per row; the trace
     and the log determinant are shared by all of them.
     """
-    G_inv = p.gamma_pr_inv.rep
-    C = post.cov.rep
-    tr = float(np.einsum("ij,ji->", G_inv, C))
-    d = post.mean - p.m_pr
-    quad = np.sum((d @ G_inv.T) * (d @ p.space.M), axis=-1)
+    kl = _kl_rows(p, post.mean, *_kl_cov_terms(p, post.cov.rep))
+    return float(kl) if kl.ndim == 0 else kl
+
+
+def _kl_cov_terms(p: InverseProblem, C) -> tuple[float, float]:
+    """tr(Gpr^-1 Gpost) and log det Gpost, the terms of kl_gaussian that no data enter."""
+    tr = float(np.einsum("ij,ji->", p.gamma_pr_inv.rep, C))
     sign, logdet_post = np.linalg.slogdet(C)
     if sign <= 0:
         raise ValueError("posterior covariance has nonpositive determinant")
-    kl = 0.5 * (tr - p.n + quad + p.gamma_pr_logdet - float(logdet_post))
-    return float(kl) if kl.ndim == 0 else kl
+    return tr, float(logdet_post)
+
+
+def _kl_rows(p: InverseProblem, mean, tr: float, logdet_post: float):
+    """kl_gaussian of each posterior mean row, given its covariance's _kl_cov_terms."""
+    d = mean - p.m_pr
+    quad = np.sum((d @ p.gamma_pr_inv.rep.T) * (d @ p.space.M), axis=-1)
+    return 0.5 * (tr - p.n + quad + p.gamma_pr_logdet - logdet_post)
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,18 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     Per sample: draw a parameter from the prior (m = m_pr + R L^-T z with
     z standard normal, R the prior square root, and L the whitening factor
     of the space), simulate data y ~ N(F(S) m, Gn(S)), then average
-    kl_gaussian of the resulting posterior.  All parameter draws happen
-    before all noise draws, which pins the stream for a given seed.
+    kl_gaussian of the resulting posterior.  The draws are one C-order
+    (n + |S|) x n_samples standard normal array, z's rows before the
+    noise rows, which pins the stream for a given seed.
 
     Once per call, before any sample, the n x n map R L^-T is solved (the
     one linear solve of mc_eig); Gamma_pr^-1 is cached on the problem at
-    its first use.  The samples then go through posterior and kl_gaussian as
-    rows of one data matrix, a block at a time, since the covariance does
-    not depend on y; each block forms the posterior covariance, its trace
-    and its log determinant once, with numpy alone.
+    its first use.  The posterior covariance, its trace and its log
+    determinant are formed once per call too, by the helpers of posterior
+    and kl_gaussian, since none depends on y.  The samples then go through
+    the posterior mean and the divergence as rows of one data matrix, a
+    block of _MC_BLOCK columns at a time, as _normal_blocks draws them, so
+    that the draws held are bounded by two blocks whatever n_samples is.
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.  n_samples
@@ -88,21 +101,49 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     if not idx:
         return McEigEstimate(n_samples, 0.0, 0.0, seed)
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((p.n, n_samples))
-    E = rng.standard_normal((len(idx), n_samples))
     L = p.space.whitening_factor
     draw = np.linalg.solve(L, p.gamma_pr_sqrt.rep.T).T  # R L^-T
     F_S, sigma = p.F[list(idx), :], p.sigma[list(idx), None]
-
-    def kl_block(b):
-        m = p.m_pr[:, None] + draw @ Z[:, b:b + _MC_BLOCK]
-        Y = F_S @ m + sigma * E[:, b:b + _MC_BLOCK]
-        return kl_gaussian(p, posterior(p, idx, Y.T))
-
-    kls = np.concatenate([kl_block(b) for b in range(0, n_samples, _MC_BLOCK)])
+    cov = _posterior_cov(p, idx)
+    terms = _kl_cov_terms(p, cov)
+    kls = np.empty(n_samples)
+    blocks = _normal_blocks(rng, p.n + len(idx), n_samples)
+    for b, block in zip(range(0, n_samples, _MC_BLOCK), blocks):
+        m = p.m_pr[:, None] + draw @ block[:p.n]
+        Y = F_S @ m + sigma * block[p.n:]
+        kls[b:b + _MC_BLOCK] = _kl_rows(p, _posterior_mean(p, idx, Y.T, cov), *terms)
     mean = float(np.mean(kls))
     stderr = float(np.std(kls, ddof=1) / math.sqrt(n_samples))
     return McEigEstimate(n_samples, mean, stderr, seed)
+
+
+def _normal_blocks(rng: np.random.Generator, rows: int, n: int):
+    """rng.standard_normal((rows, n)), yielded as its column blocks of _MC_BLOCK.
+
+    Each value has the bits it has in the whole array, which is never
+    held.  One pass over the stream keeps each row's first block, saves
+    the generator's state where the row's second block starts, and draws
+    the rest of the row only to pass it.  Every later block restores each
+    row's state, draws the row's part and saves the state again.  So every
+    value after a row's first block is drawn twice, and the held draws are
+    two blocks at most.
+    """
+    sizes = [min(_MC_BLOCK, n - b) for b in range(0, n, _MC_BLOCK)]
+    block = np.empty((rows, sizes[0]))
+    states = []
+    for row in block:
+        rng.standard_normal(out=row)
+        states.append(rng.bit_generator.state)
+        for size in sizes[1:]:
+            rng.standard_normal(size)
+    yield block
+    for size in sizes[1:]:
+        block = np.empty((rows, size))
+        for row, state in enumerate(states):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=block[row])
+            states[row] = rng.bit_generator.state
+        yield block
 
 
 @dataclass(frozen=True)
@@ -226,9 +267,11 @@ def check_submodular(
     designs A inside B and a candidate v outside B and checks the
     diminishing-returns inequality of the definition directly.  In both
     modes max_breach is 0.0 when no pair was checked, and the from-scratch
-    values come from one _reference_phi call per check.
+    values come from one _reference_phi call per check.  trials and seed
+    are checked in every mode, before the mode is chosen.
     """
     trials = count_at_least(trials, 0, "trials")
+    seed = count_at_least(seed, 0, "seed")
     if mode == "auto":
         mode = "exhaustive" if len(p.active) <= EXHAUSTIVE_LIMIT else "random"
     if mode == "exhaustive":
@@ -291,7 +334,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
 
 def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> SubmodularReport:
     """trials draws of A inside B and v outside B, all drawn before any value."""
-    rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
+    rng = np.random.default_rng(seed)
     m = len(p.active)
     if m < 2:
         raise ValueError("need at least 2 active candidates")

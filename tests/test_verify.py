@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,14 +121,19 @@ def test_counts_below_the_report_floor_are_refused(monkeypatch):
 @pytest.mark.parametrize("run", [
     lambda p: ss.check_monotone(p, trials=3, seed=-1),
     lambda p: ss.check_submodular(p, mode="random", trials=3, seed=-1),
+    lambda p: ss.check_submodular(p, mode="exhaustive", seed=-1),
+    lambda p: ss.check_submodular(p, mode="auto", seed=-1),
     lambda p: ss.mc_eig(p, p.active, 10, -1),
     lambda p: ss.mc_eig(p, (), 10, -1),
     lambda p: ss.verification_run(p, trials=3, samples=10, seed=-1),
     lambda p: ss.random_baseline(p, 3, seed=-1),
-], ids=["check_monotone", "check_submodular", "mc_eig", "mc_eig-empty", "verification_run",
+], ids=["check_monotone", "check_submodular", "check_submodular-exhaustive",
+        "check_submodular-auto", "mc_eig", "mc_eig-empty", "verification_run",
         "random_baseline"])
 def test_negative_seed_is_refused_before_any_draw(monkeypatch, run):
+    """Every mode refuses the seed, so auto mode's choice does not decide it."""
     p = random_problem(np.random.default_rng(94), 3, 5)
+    assert len(p.active) <= verify.EXHAUSTIVE_LIMIT
 
     def must_not_draw(*args, **kwargs):
         raise AssertionError("a generator was made before the seed was checked")
@@ -356,6 +362,86 @@ def test_mc_matches_per_sample_reference():
         tol_std = (bounds.max() * math.sqrt(n_samples / (n_samples - 1)) + sums * std)
         assert abs(est.std_error - std / math.sqrt(n_samples)) <= tol_std / math.sqrt(n_samples)
         assert est.n_samples == n_samples and est.seed == seed
+
+
+def _parent_mc(p, s, n_samples, seed):
+    """mean_kl and std_error made the way mc_eig made them before it streamed.
+
+    Z, then E, are drawn in full, and 1,000-sample blocks of them go
+    through posterior and kl_gaussian.
+    """
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((p.n, n_samples))
+    E = rng.standard_normal((len(s), n_samples))
+    draw = np.linalg.solve(p.space.whitening_factor, p.gamma_pr_sqrt.rep.T).T
+    F_S, sigma = p.F[list(s), :], p.sigma[list(s), None]
+    kls = []
+    for b in range(0, n_samples, 1000):
+        m = p.m_pr[:, None] + draw @ Z[:, b:b + 1000]
+        Y = F_S @ m + sigma * E[:, b:b + 1000]
+        kls.append(ss.kl_gaussian(p, ss.posterior(p, s, Y.T)))
+    kls = np.concatenate(kls)
+    return float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(n_samples))
+
+
+@pytest.mark.parametrize("n_samples", [2, 999, 1000, 1001, 2501])
+def test_mc_streamed_draws_give_the_whole_draws_estimate_bit_for_bit(n_samples):
+    """mc_eig equals (==) the estimate of the draws held in full.
+
+    Covered: the full active set, a one-sensor design, and the active set
+    of a problem with inactive sensors.
+    """
+    p = random_problem(np.random.default_rng(95), 6, 5)
+    dead = random_problem(np.random.default_rng(96), 5, 8)
+    f = dead.F.copy()
+    f[[1, 4]] = 0.0
+    gaps = ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
+    assert gaps.inactive == (1, 4)
+    for q, s in ((p, p.active), (p, (3,)), (gaps, gaps.active)):
+        est = ss.mc_eig(q, s, n_samples=n_samples, seed=13)
+        assert (est.mean_kl, est.std_error) == _parent_mc(q, s, n_samples, 13)
+
+
+@pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2501])
+def test_normal_blocks_are_the_column_blocks_of_one_draw(n):
+    blocks = list(verify._normal_blocks(np.random.default_rng(17), 3, n))
+    assert [b.shape[1] for b in blocks[:-1]] == [verify._MC_BLOCK] * (len(blocks) - 1)
+    assert 0 < blocks[-1].shape[1] <= verify._MC_BLOCK
+    whole = np.random.default_rng(17).standard_normal((3, n))
+    assert np.array_equal(np.hstack(blocks), whole)
+
+
+def test_mc_peak_memory_grows_by_less_than_a_block_of_draws():
+    """From 2,000 to 20,000 samples, mc_eig's traced peak grows by less than
+    (n + |S|) * _MC_BLOCK doubles; holding the draws in full grows by 18 times that."""
+    p = random_problem(np.random.default_rng(97), 40, 24)
+    s = p.active
+    ss.mc_eig(p, s, 2, 0)  # the problem's cached arrays are made here, outside the trace
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            ss.mc_eig(p, s, n_samples, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = (p.n + len(s)) * verify._MC_BLOCK * 8
+    assert peak(20000) - peak(2000) < block
+
+
+def test_mc_forms_the_posterior_covariance_once(monkeypatch):
+    """Three blocks of samples share one inverse and one log determinant."""
+    p = random_problem(np.random.default_rng(98), 6, 5)
+    p.gamma_pr_logdet, p.gamma_pr_inv  # cached by the first use, not counted
+    calls = []
+    for name in ("inv", "slogdet"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    ss.mc_eig(p, p.active, n_samples=2501, seed=3)
+    assert sorted(calls) == ["inv", "slogdet"]
 
 
 def test_mc_stderr_concentration():
