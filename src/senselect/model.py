@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,7 +187,7 @@ class Design:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(operator.index(i) for i in self.indices)
         if len(set(idx)) != len(idx):
             raise ValueError(f"design contains duplicate indices: {idx}")
         if any(i < 0 for i in idx):
@@ -204,8 +205,12 @@ class Design:
 
 
 def count_at_least(value, lo: int, name: str) -> int:
-    """value as an int, refused by name below lo; the CLI and read_report call it too."""
-    value = int(value)
+    """value as an int, refused by name if not an integer (2.9 is not
+    truncated) or below lo; the CLI and read_report call it too."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if value < lo:
         raise ValueError(f"{name} must be at least {lo}, got {value}")
     return value
@@ -224,7 +229,7 @@ def candidate_position(p: InverseProblem, i, outside=()) -> int | None:
 
     Refuses an index outside [0, n_s) and a member of the design outside.
     """
-    i = int(i)
+    i = operator.index(i)
     if not 0 <= i < p.n_s:
         raise ValueError(f"candidate index {i} out of range [0, {p.n_s})")
     if i in outside:

@@ -16,13 +16,16 @@ makes one-step submodularity checks cheap.
 SchurKernel, the gain kernel of selection and verification alike, holds
 an incremental Cholesky factorization of I + K, with K the Gram matrix of
 the sensor vectors.  By Woodbury every coefficient a_ij is a Schur entry
-of that factorization; DesignState carries the factor rows of its members.
+of that factorization, read through SchurKernel.r, block or pair_gains; a
+gain reported as one number is math.log1p of r_v, an array of gains is
+np.log1p's.  DesignState carries the factor rows of its members.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,30 +103,13 @@ def overlap(state: DesignState, i, j) -> float:
     """Coefficient a_ij = <A^-1 st_i, st_j> of the current design.
 
     By Woodbury this is the Schur entry K_ij - sum_s e_s[i] e_s[j] of the
-    state's factor rows.  Drives both the marginal gain (diagonal) and the
-    conditioned gain (off-diagonal).  Only active candidates have sensor
-    vectors; inactive indices are rejected.
+    state's factor rows: the residual r_i on the diagonal, an entry of
+    SchurKernel.block off it.  Only active candidates have sensor vectors;
+    inactive indices are rejected.
     """
-    p = state.problem
-    return state.kernel.entry(active_position(p, i), active_position(p, j))
-
-
-def gain(r):
-    """log1p(r), the gain of a candidate whose coefficient a_vv is r.
-
-    On an array, math.log1p is mapped over the entries: numpy's log1p
-    rounds differently, and an array must give the floats that its
-    entries give one at a time.
-    """
-    if np.ndim(r) == 0:
-        return math.log1p(r)
-    return np.array([*map(math.log1p, r.ravel().tolist())]).reshape(r.shape)
-
-
-def conditioned_gain(a_vv, a_vw, a_ww):
-    """log(1 + a_vv - a_vw^2 / (1 + a_ww)), the gain of v after w, from the
-    coefficients of the unextended design; elementwise on arrays."""
-    return gain(a_vv - a_vw * a_vw / (1.0 + a_ww))
+    p, kern = state.problem, state.kernel
+    i, j = active_position(p, i), active_position(p, j)
+    return float(kern.r[j] if i == j else kern.block([i], [j])[0, 0])
 
 
 def marginal_gain(state: DesignState, v) -> float:
@@ -133,7 +119,7 @@ def marginal_gain(state: DesignState, v) -> float:
     is zero); search loops exclude them up front.
     """
     j = candidate_position(state.problem, v, state.design)
-    return 0.0 if j is None else gain(state.kernel.entry(j, j))
+    return 0.0 if j is None else math.log1p(state.kernel.r[j])
 
 
 def marginal_gain_conditioned(state: DesignState, v, w) -> float:
@@ -151,8 +137,8 @@ def marginal_gain_conditioned(state: DesignState, v, w) -> float:
     if jv is None:
         return 0.0
     if jw is None:
-        return gain(kern.entry(jv, jv))
-    return conditioned_gain(kern.entry(jv, jv), kern.entry(jv, jw), kern.entry(jw, jw))
+        return math.log1p(kern.r[jv])
+    return float(kern.pair_gains([jw], [jv])[0, 0])
 
 
 def extend(state: DesignState, v) -> DesignState:
@@ -162,14 +148,14 @@ def extend(state: DesignState, v) -> DesignState:
     is the Schur residual of v.  The new state copies the factor rows, so
     the state extended stays valid.
     """
-    p, v = state.problem, int(v)
+    p, v = state.problem, operator.index(v)
     j = active_position(p, v, state.design)
     kern = copy.copy(state.kernel)  # shares the whitened vectors and diagonal
     kern.rows = np.vstack((kern.rows[:kern.t], np.empty_like(kern.diag)))
     kern.res = np.vstack((kern.res[:kern.t + 1], np.empty_like(kern.diag)))
-    r = kern.entry(j, j)
+    gain = math.log1p(kern.r[j])
     kern.add(j)
-    return DesignState(p, Design(state.design.indices + (v,)), state.phi + math.log1p(r), kern)
+    return DesignState(p, Design(state.design.indices + (v,)), state.phi + gain, kern)
 
 
 class SchurKernel:
@@ -193,7 +179,8 @@ class SchurKernel:
     res[t + 1] = res[t] - e_t * e_t.  The row is needed anyway, so a gain
     costs nothing beyond it: stale upper bounds (lazy evaluation) would
     save no work.  Lowering t rewinds to a prefix of the selections; the
-    next add overwrites the rows and residuals after it.
+    next add overwrites the rows and residuals after it.  Three reads give
+    Schur entries: r (a_vv), block (a_vw) and pair_gains (gains of v after w).
     """
 
     def __init__(self, p: InverseProblem, k: int):
@@ -222,20 +209,22 @@ class SchurKernel:
         self.t = t + 1
         return e
 
-    def entry(self, i: int, j: int) -> float:
-        """Schur entry K_ij - sum_s e_s[i] e_s[j] of positions i and j; r_j if i == j."""
-        if i == j:
-            return float(self.r[j])
-        rows = self.rows[:self.t]
-        return float(self._w[:, i] @ self._w[:, j] - rows[:, i] @ rows[:, j])
+    def block(self, pos, cols) -> np.ndarray:
+        """Schur block K[pos, cols] - E[:, pos]' E[:, cols].
 
-    def block(self, pos, cols=None) -> np.ndarray:
-        """Schur block K[pos, cols] - E[:, pos]' E[:, cols]; cols defaults to pos.
-
-        Off the diagonal these are entry's values, up to the rounding of
-        the matrix products; on the diagonal read r instead.
+        Entry (a, b) is the coefficient a_vw of w = pos[a] and v = cols[b];
+        on the diagonal read r instead.
         """
-        w, e = self._w[:, pos], self.rows[:self.t, pos]
-        if cols is None:
-            return w.T @ w - e.T @ e
-        return w.T @ self._w[:, cols] - e.T @ self.rows[:self.t, cols]
+        return (self._w[:, pos].T @ self._w[:, cols]
+                - self.rows[:self.t, pos].T @ self.rows[:self.t, cols])
+
+    def pair_gains(self, pos, cols) -> np.ndarray:
+        """Entry (a, b) is the gain of v = cols[b] after w = pos[a].
+
+        That is log1p(r_v - a_vw^2 / (1 + r_w)), computed as log1p(r_v - e_v^2)
+        with e = a_w / sqrt(1 + r_w) the factor row that add(w) would append:
+        row a is log1p of the residuals that add(w) would leave.
+        """
+        r = self.r
+        e = self.block(pos, cols) / np.sqrt(1.0 + r[pos])[:, None]
+        return np.log1p(r[cols] - e * e)

@@ -7,7 +7,7 @@ appends anyway, one O(m) residual update per step.  exhaustive finds the
 optimum over every size-k subset, under a configurable cap on their
 number, by depth-first branch and bound on a stack of node frames:
 entering a prefix costs one factor row, shared by all of its extensions,
-one Schur block over its children gives their gains, and submodularity
+one pair_gains call over its children gives their gains, and submodularity
 turns those into a bound on what any extension can add.  Each child is
 tested against the tie band once, when its turn comes, largest bound
 first, so the first leaves the search scores are its incumbent and no
@@ -90,8 +90,8 @@ class SelectionReport:
 
 
 def _check_budget(p: InverseProblem, k: int) -> int:
-    k = int(k)
-    if k < 0 or k > len(p.active):
+    k = count_at_least(k, 0, "budget")
+    if k > len(p.active):
         raise ValueError(f"budget {k} outside [0, {len(p.active)}] active candidates")
     return k
 
@@ -161,6 +161,7 @@ def exhaustive(p: InverseProblem, k: int, cap: int = EXHAUSTIVE_CAP) -> Selectio
     """
     t0 = time.perf_counter()
     k = _check_budget(p, k)
+    cap = count_at_least(cap, 0, "cap")
     total = math.comb(len(p.active), k)
     if total > cap:
         raise CapExceededError(
@@ -190,13 +191,13 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
 
     Entering a child appends its factor row through the SchurKernel.add
     that greedy calls, so nodes entered = add calls + 1.  One child step
-    follows, the same at the root and at every depth: row c of the Schur
-    block K[C, R] - E[:, C]' E[:, R] over the children C and the positions
-    R after them, scaled by 1 / sqrt(1 + r_c), is child c's factor row, so
-    g = log1p(r - e_c * e_c) are c's gains.  With q elements still to
-    choose, q == 2 scores every leaf as phi + log1p(r_c) + g and leaves no
-    child; otherwise c's bound is log1p(r_c) plus the sum of its q - 1
-    largest gains, which submodularity makes an upper bound.  The band drops
+    follows, the same at the root and at every depth: row c of
+    g = kern.pair_gains(C, R), over the children C and the positions R
+    after them, is log1p of the residuals that c's factor row would leave,
+    c's gains.  With q elements still to choose, q == 2 scores every leaf
+    as phi + log1p(r_c) + g and leaves no child; otherwise c's bound is
+    log1p(r_c) plus the sum of its q - 1 largest gains, which
+    submodularity makes an upper bound.  The band drops
     the sets left behind whenever best rises; it is returned sorted.
     """
     if k == 0:
@@ -213,8 +214,7 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         r, q = kern.r, k - len(prefix)
         kids = np.arange(prefix[-1] + 1 if prefix else 0, m - q + 1)
         cols = np.arange(kids[0] + 1, m)
-        e = kern.block(kids, cols) / np.sqrt(1.0 + r[kids])[:, None]
-        g = np.log1p(r[cols] - e * e)
+        g = kern.pair_gains(kids, cols)
         g[cols <= kids[:, None]] = -math.inf  # only the positions after each child
         up = [phi + math.log1p(x) for x in r[kids].tolist()]
         if q > 2:

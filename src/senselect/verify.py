@@ -245,7 +245,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         for j in S:
             kern.add(j)
         dense_gain = phi_Sv - phi_S
-        formula_gain = objective.gain(float(kern.r[v]))
+        formula_gain = math.log1p(kern.r[v])
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
         max_err = max(max_err, err)
@@ -290,8 +290,8 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     by the bit mask of its positions.  The designs are visited depth first
     in lexicographic order on one SchurKernel, one add per design, so a
     design's residuals, the plain gains log1p(a_vv), are its r.  One
-    Schur block over the remaining positions gives every a_vw, and with
-    it the conditioned gain of every pair at once.
+    SchurKernel.pair_gains call over the remaining positions gives the
+    conditioned gain of every pair at once.
     """
     m = len(p.active)
     if m > 16:
@@ -307,15 +307,14 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     def visit(t: int, mask: int, start: int) -> None:
         nonlocal checks, violations, max_breach, max_err
         rest = np.flatnonzero((bits & mask) == 0)
-        a = kern.r[rest]
-        plain = objective.gain(a)
+        plain = np.log1p(kern.r[rest])
         up = phi[mask | bits[rest]]  # phi(A + v)
         err = np.abs(plain - (up - phi[mask]))
         max_err = max(max_err, float(err.max(initial=0.0)))
         violations += int(np.count_nonzero(err > FORMULA_TOL))
         if rest.size > 1:
             v, w = pairs[rest.size]
-            cond = objective.conditioned_gain(a[v], kern.block(rest)[v, w], a[w])
+            cond = kern.pair_gains(rest, rest)[w, v]  # v after w
             breach = cond - plain[v]
             err = np.abs(cond - (phi[mask | bits[rest[v]] | bits[rest[w]]] - up[w]))
             checks += breach.size

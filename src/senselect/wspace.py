@@ -43,20 +43,20 @@ def require_finite(a: np.ndarray, name: str) -> None:
 class WeightedSpace:
     """R^n with inner product <u, v> = u' M v.
 
-    The weight matrix must be finite, symmetric to a relative tolerance and
-    positive definite (verified by a Cholesky factorization of the
+    The weight matrix must be finite, symmetric to within SYMMETRY_TOL
+    and positive definite (verified by a Cholesky factorization of the
     symmetrized matrix).  The stored matrix is symmetrized once so that
     every downstream identity can treat M and M' interchangeably.
     """
 
-    def __init__(self, M, sym_tol: float = SYMMETRY_TOL):
+    def __init__(self, M):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {M.shape}")
         require_finite(M, "weight matrix M")
         if not M.any():
             raise ValueError("weight matrix is zero")
-        sym = symmetric_part(M, sym_tol)
+        sym = symmetric_part(M)
         if sym is None:
             raise ValueError("weight matrix is not symmetric within tolerance")
         try:

@@ -346,6 +346,36 @@ def test_validate_design_normalizes_and_rejects():
         ss.validate_design(p, [4])
 
 
+# (message, call with a count or an index x): greedy(p, 2.9) chose 2 sensors,
+# Design((1.5, 3)) held (1, 3) and check_submodular(p, seed="x") raised int()'s
+# message, which names no argument
+_NOT_INTEGERS = {
+    "budget": ("budget must be an integer", lambda p, x: ss.greedy(p, x)),
+    "cap": ("cap must be an integer", lambda p, x: ss.exhaustive(p, 0, cap=x)),
+    "n_samples": ("n_samples must be an integer", lambda p, x: ss.mc_eig(p, (0, 1), x, 0)),
+    "mc seed": ("seed must be an integer", lambda p, x: ss.mc_eig(p, (0, 1), 2, x)),
+    "trials": ("trials must be an integer", lambda p, x: ss.check_monotone(p, x)),
+    "check seed": ("seed must be an integer", lambda p, x: ss.check_submodular(p, seed=x)),
+    "design": ("cannot be interpreted as an integer", lambda p, x: ss.Design((x, 3))),
+    "candidate": ("cannot be interpreted as an integer",
+                  lambda p, x: ss.marginal_gain(ss.design_state(p), x)),
+    "extend": ("cannot be interpreted as an integer",
+               lambda p, x: ss.extend(ss.design_state(p), x)),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_INTEGERS)
+@pytest.mark.parametrize("bad", [2.9, -0.5, np.float64(2.0), "2"])
+def test_non_integer_counts_and_indices_are_refused_not_truncated(call, bad):
+    """A float, even a whole one, or a string raises a TypeError, which names
+    a count by its argument; numpy's integers still pass."""
+    p = identity_problem(4)
+    msg, run = _NOT_INTEGERS[call]
+    with pytest.raises(TypeError, match=msg):
+        run(p, bad)
+    run(p, np.int64(2))
+
+
 def test_content_hash_sensitive_to_fields():
     rng = np.random.default_rng(33)
     p = random_problem(rng, 3, 4)

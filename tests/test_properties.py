@@ -75,8 +75,8 @@ def test_branch_and_bound_keeps_the_tie_band(p, data):
 
 
 def _rows_subtracted_one_at_a_time(kern):
-    """Every residual as SchurKernel.entry computed it before the kernel kept
-    a residual stack: diag minus the factor rows, one step at a time."""
+    """Every residual as the kernel computed it before it kept a residual
+    stack: diag minus the factor rows, one step at a time."""
     out = []
     for j in range(kern.diag.size):
         r = float(kern.diag[j])

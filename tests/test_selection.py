@@ -427,6 +427,34 @@ def test_best_bound_first_finds_its_own_incumbent(monkeypatch, spec, k, rows, ba
     assert len(found) == band
 
 
+@pytest.mark.parametrize("problem", [
+    lambda: random_problem(np.random.default_rng(73), 6, 9),
+    lambda: _chain(20, 10, seed=7),  # README's chain
+    lambda: _chain(14, 7, (3, 3, 6, 9, 9, 12, 3)),
+    lambda: _with_inactive(random_problem(np.random.default_rng(74), 4, 8), (0, 3, 6)),
+], ids=["random", "readme-chain", "duplicated-nodes", "inactive"])
+def test_pair_gains_rows_are_log1p_of_the_residuals_after_add(problem):
+    """Branch and bound's bounds and leaves rest on it: row a of
+    pair_gains(R, R) is log1p of the residuals that add(R[a]) leaves, at the
+    root and after each of greedy's first two steps, within the
+    _rounding_margin of a design of the prefix plus the pair."""
+    p = problem()
+    m = len(p.active)
+    order = [p.active.index(i) for i, _, _ in ss.greedy(p, 2).per_step]
+    kern = objective.SchurKernel(p, 3)
+    for t in range(3):
+        kern.t = 0
+        for j in order[:t]:
+            kern.add(j)
+        rest = [j for j in range(m) if j not in order[:t]]
+        gains = kern.pair_gains(rest, rest)
+        tol = selection._rounding_margin(kern, t + 2)
+        for row, w in zip(gains, rest):
+            kern.t = t
+            kern.add(w)
+            assert np.max(np.abs(row - np.log1p(kern.r[rest]))) <= tol
+
+
 def _phi_eig_calls(monkeypatch, run):
     calls = []
     phi_eig = objective.phi_eig
