@@ -25,9 +25,10 @@ FORMULA_TOL = 1e-9
 SUBMODULAR_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 10
 # mc_eig draws, maps to data and scores this many samples at a time, so
-# that it holds two (n + |S|) x _MC_BLOCK blocks of draws at most, whatever
-# the sample count
-_MC_BLOCK = 1000
+# that it holds two (n + |S|) x _MC_BLOCK blocks of draws at most, and one
+# block's data, posterior means and divergences, whatever the sample count;
+# the estimate does not depend on it, bit for bit
+_MC_BLOCK = 256
 
 
 def kl_gaussian(p: InverseProblem, post: Posterior):
@@ -88,7 +89,8 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     and kl_gaussian, since none depends on y.  The samples then go through
     the posterior mean and the divergence as rows of one data matrix, a
     block of _MC_BLOCK columns at a time, as _normal_blocks draws them, so
-    that the draws held are bounded by two blocks whatever n_samples is.
+    that the draws held are bounded by two blocks whatever n_samples is,
+    and the rest by one block's arrays and one double per sample.
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.  n_samples
@@ -121,28 +123,33 @@ def _normal_blocks(rng: np.random.Generator, rows: int, n: int):
     """rng.standard_normal((rows, n)), yielded as its column blocks of _MC_BLOCK.
 
     Each value has the bits it has in the whole array, which is never
-    held.  One pass over the stream keeps each row's first block, saves
-    the generator's state where the row's second block starts, and draws
-    the rest of the row only to pass it.  Every later block restores each
-    row's state, draws the row's part and saves the state again.  So every
+    held.  One pass over the stream draws each row's first block, copies
+    the generator where the row's second block starts, and draws the rest
+    of the row only to pass it, into a scratch array of one block's size.
+    Each copy is then the row's own stream: every later block draws the
+    row's part from it, where the row's last block stopped.  So every
     value after a row's first block is drawn twice, and the held draws are
-    two blocks at most.
+    two blocks at most.  A copy's bit generator is seeded from rng's seed
+    sequence, cheaper than a seed from the operating system, and then
+    takes rng's state.
     """
     sizes = [min(_MC_BLOCK, n - b) for b in range(0, n, _MC_BLOCK)]
     block = np.empty((rows, sizes[0]))
-    states = []
+    skip = np.empty(block.size)
+    streams = []
     for row in block:
         rng.standard_normal(out=row)
-        states.append(rng.bit_generator.state)
-        for size in sizes[1:]:
-            rng.standard_normal(size)
+        bits = type(rng.bit_generator)(rng.bit_generator.seed_seq)
+        bits.state = rng.bit_generator.state
+        streams.append(np.random.Generator(bits))
+        for b in range(sizes[0], n, skip.size):
+            rng.standard_normal(out=skip[:n - b])
+    del skip
     yield block
     for size in sizes[1:]:
         block = np.empty((rows, size))
-        for row, state in enumerate(states):
-            rng.bit_generator.state = state
-            rng.standard_normal(out=block[row])
-            states[row] = rng.bit_generator.state
+        for row, stream in zip(block, streams):
+            stream.standard_normal(out=row)
         yield block
 
 
@@ -221,9 +228,12 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     positive (above a tiny floor) and to match log(1 + a_vv) within an
     absolute tolerance.  All designs are drawn first, in the order of the
     trials, and both from-scratch values of every trial come from one
-    _reference_phi call.  The formula side rewinds one SchurKernel per
-    trial, adds S in order as design_state does, and reads v's residual.
-    min_gain is 0.0 when no trial ran.
+    _reference_phi call.  The formula side takes a_vv from _residual, the
+    Woodbury form on S's smaller Gram side, so a trial holds one design's
+    columns and factor, never a kernel sized by the largest design.  It
+    tests that form, not greedy's row-by-row SchurKernel arithmetic, which
+    the exhaustive submodularity check reads.  min_gain is 0.0 when no
+    trial ran.
     """
     trials = count_at_least(trials, 0, "trials")
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
@@ -236,22 +246,39 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         S = tuple(int(i) for i in np.sort(rng.choice(m, size, replace=False)))
         draws.append((S, _draw_outside(rng, m, S)))
     ref = _reference_phi(p, [d for S, v in draws for d in (S, S + (v,))]).reshape(-1, 2)
-    kern = objective.SchurKernel(p, max((len(S) for S, v in draws), default=0))
     violations = 0
     min_gain = math.inf
     max_err = 0.0
     for (S, v), (phi_S, phi_Sv) in zip(draws, ref.tolist()):
-        kern.t = 0
-        for j in S:
-            kern.add(j)
         dense_gain = phi_Sv - phi_S
-        formula_gain = math.log1p(kern.r[v])
+        formula_gain = math.log1p(_residual(p, S, v))
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
         max_err = max(max_err, err)
         if dense_gain < GAIN_FLOOR or err > FORMULA_TOL:
             violations += 1
     return MonotoneReport(trials, violations, _extreme(min_gain, trials), max_err)
+
+
+def _residual(p: InverseProblem, S, v: int) -> float:
+    """a_vv of the design S: v's Schur residual, from S's smaller Gram side.
+
+    S and v are positions in p.active, and W_S, w_v the columns of
+    p.whitened there.  Woodbury gives
+
+        a_vv = K_vv - |c^-1 W_S' w_v|^2,  c = chol(I_s + W_S' W_S),  if s <= n,
+        a_vv = |c^-1 w_v|^2,              c = chol(I_n + W_S W_S'),  otherwise,
+
+    one Cholesky factor of dimension min(s, n) and one solve with it; the
+    empty design reads K_vv.
+    """
+    w = p.whitened
+    x, ws = w[:, v], w[:, list(S)]
+    small = len(S) <= p.n
+    gram = ws.T @ ws if small else ws @ ws.T
+    np.einsum("ii->i", gram)[...] += 1.0
+    y = np.linalg.solve(np.linalg.cholesky(gram), ws.T @ x if small else x)
+    return float(x @ x - y @ y) if small else float(y @ y)
 
 
 def check_submodular(

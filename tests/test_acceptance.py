@@ -305,6 +305,33 @@ def test_readme_session_stdout_under_blas_threads(tmp_path, threads):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_verify_block_under_blas_threads(tmp_path, threads):
+    """README's verify prints README's block, field by field.
+
+    README says which fields measure rounding error and so depend on the
+    BLAS build: min_gain and max_breach must match to 10 significant
+    digits and each max_formula_err must stay below FORMULA_TOL.  Every
+    other field must be README's exactly.
+    """
+    session = {a[0]: (a, out) for a, out in _readme_session()}
+    _run_cli(session["gen"][0], tmp_path)
+    argv, want = session["verify"]
+    got = _run_cli(argv, tmp_path, OPENBLAS_NUM_THREADS=threads).splitlines()
+    assert len(got) == len(want) == 4
+    for line, ref in zip(got, want):
+        fields, ref_fields = line.split(), ref.split()
+        assert [f.split("=")[0] for f in fields] == [f.split("=")[0] for f in ref_fields]
+        for field, ref_field in zip(fields, ref_fields):
+            key, _, value = field.partition("=")
+            if key == "max_formula_err":
+                assert float(value) < ss.verify.FORMULA_TOL
+            elif key in ("min_gain", "max_breach"):
+                assert f"{float(value):.10g}" == f"{float(ref_field.partition('=')[2]):.10g}"
+            else:
+                assert field == ref_field
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_readme_library_use_prints_its_comments(tmp_path, threads):
     """README's Python block prints the value in the comment of each print."""
     code, want = _readme_library_use()

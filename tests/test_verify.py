@@ -189,6 +189,16 @@ def test_reference_phi_matches_phi_eig_on_both_gram_sides():
         assert again.tolist() == got.tolist()
 
 
+def _with_gaps(seed, n, n_s, dead):
+    """random_problem(seed, n, n_s) with the sensors in dead made inactive."""
+    q = random_problem(np.random.default_rng(seed), n, n_s)
+    f = q.F.copy()
+    f[list(dead)] = 0.0
+    p = ss.build_problem(q.space, f, q.sigma, q.m_pr, q.gamma_pr.rep)
+    assert p.inactive == tuple(dead)
+    return p
+
+
 def _parent_draws(p, trials, seed, monotone):
     """The designs the sampled checks evaluated before their values were batched,
     drawn one trial at a time as sensor indices: (S, S + v) per monotone trial,
@@ -228,18 +238,14 @@ def _sensors(p, batch):
 def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     """Every draw stays in its order; the reference values come in one call.
 
-    Neither check makes a phi_eig call: check_monotone's formula side walks
-    one SchurKernel instead of building a design_state per trial.  The
+    Neither check makes a phi_eig call: check_monotone's formula side takes
+    each trial's residual from _residual's Gram-side factor.  The
     checks draw positions in p.active; mapped to sensors, they are the
     index designs of _parent_draws.  On a problem with gaps in p.active, a
     candidate outside a design is drawn from the active ones alone.
     """
     p = random_problem(np.random.default_rng(101), 5, 14)
-    dead = random_problem(np.random.default_rng(102), 5, 14)
-    f = dead.F.copy()
-    f[[0, 6, 7, 12]] = 0.0
-    gaps = ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
-    assert gaps.inactive == (0, 6, 7, 12)
+    gaps = _with_gaps(102, 5, 14, (0, 6, 7, 12))
     ident = identity_problem(4)
     batches, phi_eig_calls = [], []
     reference, phi_eig = verify._reference_phi, objective.phi_eig
@@ -384,25 +390,35 @@ def _parent_mc(p, s, n_samples, seed):
     return float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(n_samples))
 
 
+def _mc_designs():
+    """(problem, design) pairs: the full active set, a one-sensor design, and
+    the active set of a problem with inactive sensors."""
+    p = random_problem(np.random.default_rng(95), 6, 5)
+    gaps = _with_gaps(96, 5, 8, (1, 4))
+    return [(p, p.active), (p, (3,)), (gaps, gaps.active)]
+
+
 @pytest.mark.parametrize("n_samples", [2, 999, 1000, 1001, 2501])
 def test_mc_streamed_draws_give_the_whole_draws_estimate_bit_for_bit(n_samples):
-    """mc_eig equals (==) the estimate of the draws held in full.
-
-    Covered: the full active set, a one-sensor design, and the active set
-    of a problem with inactive sensors.
-    """
-    p = random_problem(np.random.default_rng(95), 6, 5)
-    dead = random_problem(np.random.default_rng(96), 5, 8)
-    f = dead.F.copy()
-    f[[1, 4]] = 0.0
-    gaps = ss.build_problem(dead.space, f, dead.sigma, dead.m_pr, dead.gamma_pr.rep)
-    assert gaps.inactive == (1, 4)
-    for q, s in ((p, p.active), (p, (3,)), (gaps, gaps.active)):
+    """mc_eig equals (==) the estimate of the draws held in full."""
+    for q, s in _mc_designs():
         est = ss.mc_eig(q, s, n_samples=n_samples, seed=13)
         assert (est.mean_kl, est.std_error) == _parent_mc(q, s, n_samples, 13)
 
 
-@pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2501])
+@pytest.mark.parametrize("n_samples", [2, 255, 256, 257, 2501])
+def test_mc_block_size_moves_no_bits(monkeypatch, n_samples):
+    """The estimate is the same (==) with blocks of 1,000 and of 256 columns."""
+    for q, s in _mc_designs():
+        got = []
+        for size in (1000, 256):
+            monkeypatch.setattr(verify, "_MC_BLOCK", size)
+            est = ss.mc_eig(q, s, n_samples=n_samples, seed=13)
+            got.append((est.mean_kl, est.std_error))
+        assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 999, 1000, 1001, 2501])
 def test_normal_blocks_are_the_column_blocks_of_one_draw(n):
     blocks = list(verify._normal_blocks(np.random.default_rng(17), 3, n))
     assert [b.shape[1] for b in blocks[:-1]] == [verify._MC_BLOCK] * (len(blocks) - 1)
@@ -413,7 +429,13 @@ def test_normal_blocks_are_the_column_blocks_of_one_draw(n):
 
 def test_mc_peak_memory_grows_by_less_than_a_block_of_draws():
     """From 2,000 to 20,000 samples, mc_eig's traced peak grows by less than
-    (n + |S|) * _MC_BLOCK doubles; holding the draws in full grows by 18 times that."""
+    (n + |S|) * _MC_BLOCK doubles plus the 18,000 more divergences it holds.
+
+    The divergences are one double per sample, which np.mean and np.std
+    need all of; at 256 columns the block of draws alone (131 KB) is
+    below their 144 KB.  Holding the draws in full grows by
+    (n + |S|) * 18,000 doubles, 9.2 MB.
+    """
     p = random_problem(np.random.default_rng(97), 40, 24)
     s = p.active
     ss.mc_eig(p, s, 2, 0)  # the problem's cached arrays are made here, outside the trace
@@ -427,7 +449,7 @@ def test_mc_peak_memory_grows_by_less_than_a_block_of_draws():
             tracemalloc.stop()
 
     block = (p.n + len(s)) * verify._MC_BLOCK * 8
-    assert peak(20000) - peak(2000) < block
+    assert peak(20000) - peak(2000) < block + 8 * 18000
 
 
 def test_mc_forms_the_posterior_covariance_once(monkeypatch):
@@ -496,6 +518,61 @@ def test_check_monotone_skips_inactive_rows():
     p = ss.build_problem(space, f, np.ones(4), np.zeros(3), np.eye(3))
     rep = ss.check_monotone(p, trials=60, seed=5)
     assert rep.ok and rep.violations == 0
+
+
+@pytest.mark.parametrize("make, sides", [
+    (lambda: random_problem(np.random.default_rng(104), 12, 9), {False}),
+    (lambda: random_problem(np.random.default_rng(105), 6, 20), {False, True}),
+    (lambda: _with_gaps(102, 5, 14, (0, 6, 7, 12)), {False, True}),
+])
+def test_monotone_residuals_match_the_kernel_after_add(monkeypatch, make, sides):
+    """Each trial's Gram-side residual equals SchurKernel.r[v] after adding S.
+
+    Both are Cholesky computations of dimension at most n + s.  Every entry
+    of I + K_SS, the kernel's matrix and the small Gram side, and of
+    I + W_S W_S', the large one, is bounded by 1 + tr K over S + v, so to
+    first order each residual errs by at most (n + s) eps (1 + tr), and the
+    two differ by at most twice that.  sides lists whether |S| > n, over
+    the trials.
+    """
+    p = make()
+    trials, residual = [], verify._residual
+
+    def recording(q, S, v):
+        trials.append((S, v, residual(q, S, v)))
+        return trials[-1][2]
+
+    monkeypatch.setattr(verify, "_residual", recording)
+    assert ss.check_monotone(p, trials=60, seed=7).ok
+    assert {len(S) > p.n for S, _, _ in trials} == sides
+    eps = np.finfo(float).eps
+    kern = objective.SchurKernel(p, len(p.active))
+    for S, v, got in trials:
+        kern.t = 0
+        for j in S:
+            kern.add(j)
+        tr = float(np.sum(kern.diag[[*S, v]]))
+        assert abs(got - kern.r[v]) <= 2.0 * (p.n + len(S)) * eps * (1.0 + tr)
+
+
+def test_monotone_peak_memory_is_below_one_design_of_kernel_rows(monkeypatch):
+    """On random 20 x 400, check_monotone's traced peak stays below |S|max * m
+    doubles: the factor rows alone of a SchurKernel sized by the largest
+    drawn design, which also holds as many rows of residuals."""
+    p = random_problem(np.random.default_rng(107), 20, 400)
+    ss.check_monotone(p, trials=1)  # the problem's cached arrays are made here, outside the trace
+    sizes, reference = [], verify._reference_phi
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_reference_phi",
+                      lambda q, designs: sizes.extend(map(len, designs)) or reference(q, designs))
+        ss.check_monotone(p, trials=10, seed=4)
+    tracemalloc.start()
+    try:
+        ss.check_monotone(p, trials=10, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (max(sizes) - 1) * len(p.active) * 8  # S + v is the longest design
 
 
 def test_check_submodular_orthogonal_sensors_all_tight():
