@@ -1,12 +1,12 @@
 """Independent numerical checks of the objective's claimed structure.
 
-kl_gaussian and mc_eig tie the algebraic objective back to its
-information-theoretic meaning: the expected (over prior draws and
-simulated data) Kullback-Leibler divergence from posterior to prior must
-match half of log det(I + Ht(S)).  check_monotone and check_submodular
-test the two structural properties behind the greedy guarantee, comparing
-the closed-form gains against from-scratch objective differences on designs
-of positions in p.active, as SchurKernel's; only mc_eig takes sensor indices.
+kl_gaussian and mc_eig tie the algebraic objective back to its meaning:
+the expected KL divergence from posterior to prior must match half of
+log det(I + Ht(S)).  check_monotone and check_submodular test the two
+structural properties behind the greedy guarantee, comparing closed-form
+gains against from-scratch objective differences, every one of them from
+_gram_factor, on designs of positions in p.active, as SchurKernel's; only
+mc_eig takes sensor indices.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ GAIN_FLOOR = 1e-14
 FORMULA_TOL = 1e-9
 SUBMODULAR_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 10
-# mc_eig draws, maps to data and scores this many samples at a time, so
-# that it holds two (n + |S|) x _MC_BLOCK blocks of draws at most, and one
-# block's data, posterior means and divergences, whatever the sample count;
-# the estimate does not depend on it, bit for bit
+# mc_eig draws, maps to data and scores this many samples at a time, so its
+# memory is bounded whatever the sample count (see mc_eig); the estimate does
+# not depend on it, bit for bit
 _MC_BLOCK = 256
 
 
@@ -83,14 +82,13 @@ def mc_eig(p: InverseProblem, S, n_samples: int, seed: int) -> McEigEstimate:
     noise rows, which pins the stream for a given seed.
 
     Once per call, before any sample, the n x n map R L^-T is solved (the
-    one linear solve of mc_eig); Gamma_pr^-1 is cached on the problem at
-    its first use.  The posterior covariance, its trace and its log
-    determinant are formed once per call too, by the helpers of posterior
-    and kl_gaussian, since none depends on y.  The samples then go through
-    the posterior mean and the divergence as rows of one data matrix, a
-    block of _MC_BLOCK columns at a time, as _normal_blocks draws them, so
-    that the draws held are bounded by two blocks whatever n_samples is,
-    and the rest by one block's arrays and one double per sample.
+    one linear solve of mc_eig), and the posterior covariance, its trace
+    and its log determinant are formed by the helpers of posterior and
+    kl_gaussian, since none depends on y.  The samples then go through the
+    posterior mean and the divergence as rows of one data matrix, a block
+    of _MC_BLOCK columns at a time, as _normal_blocks draws them, so the
+    memory held is two blocks of draws, one block's arrays and one double
+    per sample, whatever n_samples is.
 
     An empty design is a fixed point (posterior equals prior, KL is
     identically zero), so it returns an exact zero estimate.  n_samples
@@ -123,31 +121,25 @@ def _normal_blocks(rng: np.random.Generator, rows: int, n: int):
     """rng.standard_normal((rows, n)), yielded as its column blocks of _MC_BLOCK.
 
     Each value has the bits it has in the whole array, which is never
-    held.  One pass over the stream draws each row's first block, copies
-    the generator where the row's second block starts, and draws the rest
-    of the row only to pass it, into a scratch array of one block's size.
-    Each copy is then the row's own stream: every later block draws the
-    row's part from it, where the row's last block stopped.  So every
-    value after a row's first block is drawn twice, and the held draws are
-    two blocks at most.  A copy's bit generator is seeded from rng's seed
-    sequence, cheaper than a seed from the operating system, and then
-    takes rng's state.
+    held.  One pass over the stream copies the generator where each row
+    starts and draws the row only to pass it, into a scratch array of one
+    block's size.  Each copy is then the row's own stream, from which every
+    block draws the row's part.  So every value is drawn twice, and the
+    draws held are one block plus the scratch.  A copy's bit generator is
+    seeded from rng's seed sequence, cheaper than a seed from the operating
+    system, and then takes rng's state.
     """
-    sizes = [min(_MC_BLOCK, n - b) for b in range(0, n, _MC_BLOCK)]
-    block = np.empty((rows, sizes[0]))
-    skip = np.empty(block.size)
+    skip = np.empty(rows * min(_MC_BLOCK, n))
     streams = []
-    for row in block:
-        rng.standard_normal(out=row)
+    for _ in range(rows):
         bits = type(rng.bit_generator)(rng.bit_generator.seed_seq)
         bits.state = rng.bit_generator.state
         streams.append(np.random.Generator(bits))
-        for b in range(sizes[0], n, skip.size):
+        for b in range(0, n, skip.size):
             rng.standard_normal(out=skip[:n - b])
     del skip
-    yield block
-    for size in sizes[1:]:
-        block = np.empty((rows, size))
+    for b in range(0, n, _MC_BLOCK):
+        block = np.empty((rows, min(_MC_BLOCK, n - b)))
         for row, stream in zip(block, streams):
             stream.standard_normal(out=row)
         yield block
@@ -182,11 +174,8 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     """phi of every design in designs, from scratch: the checks' reference values.
 
     designs are sequences of positions in p.active, drawn by the checks
-    themselves.  With W_S a design's columns of p.whitened, as SchurKernel
-    reads them, Sylvester's identity det(I_n + W_S W_S') = det(I_s + W_S' W_S)
-    lets each value come from the Cholesky factor of the smaller of the
-    two Gram matrices, and the designs of one size go through one batched
-    Cholesky.  Each design is sorted first, so equal designs get equal
+    themselves.  The designs of one size go through one batched
+    _gram_factor.  Each design is sorted first, so equal designs get equal
     values; the empty design gets exactly 0.
     """
     out = np.zeros(len(designs))
@@ -197,12 +186,26 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     for size, pos in by_size.items():
         if size:
             S = np.sort(np.array([designs[i] for i in pos]), axis=1)
-            v = w[S]  # (designs, size, n)
-            gram = v @ v.transpose(0, 2, 1) if size <= p.n else v.transpose(0, 2, 1) @ v
-            np.einsum("bii->bi", gram)[...] += 1.0
-            c = np.linalg.cholesky(gram)
-            out[pos] = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
+            out[pos] = _logdet(_gram_factor(w[S], p.n))
     return out
+
+
+def _gram_factor(ws: np.ndarray, n: int) -> np.ndarray:
+    """Cholesky factor of I plus the smaller Gram matrix of ws; the one place that factors.
+
+    ws is (..., s, n): W_S', a design's s rows of p.whitened.T, or a stack
+    of designs of one size.  Sylvester's det(I_n + W_S W_S') = det(I_s + W_S' W_S)
+    lets phi(S) come from either side: I_s + W_S' W_S if s <= n, else I_n + W_S W_S'.
+    """
+    wt = ws.swapaxes(-1, -2)
+    gram = ws @ wt if ws.shape[-2] <= n else wt @ ws
+    np.einsum("...ii->...i", gram)[...] += 1.0
+    return np.linalg.cholesky(gram)
+
+
+def _logdet(c: np.ndarray):
+    """phi of a design from its _gram_factor c: twice the sum of the logs of its diagonal."""
+    return 2.0 * np.log(c.diagonal(0, -2, -1)).sum(-1)
 
 
 def _draw_outside(rng: np.random.Generator, m: int, S) -> int:
@@ -227,13 +230,13 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     requires the from-scratch difference phi(S + v) - phi(S) to be strictly
     positive (above a tiny floor) and to match log(1 + a_vv) within an
     absolute tolerance.  All designs are drawn first, in the order of the
-    trials, and both from-scratch values of every trial come from one
-    _reference_phi call.  The formula side takes a_vv from _residual, the
-    Woodbury form on S's smaller Gram side, so a trial holds one design's
-    columns and factor, never a kernel sized by the largest design.  It
-    tests that form, not greedy's row-by-row SchurKernel arithmetic, which
-    the exhaustive submodularity check reads.  min_gain is 0.0 when no
-    trial ran.
+    trials, and phi(S + v) of every trial comes from one _reference_phi
+    call.  Each trial then factors S once, with _gram_factor, for phi(S)
+    and for a_vv by _residual's Woodbury form, so it holds one design's
+    rows and factor, never a kernel sized by the largest design.  It tests
+    that form, not greedy's row-by-row SchurKernel arithmetic, which the
+    exhaustive submodularity check reads.  min_gain is 0.0 when no trial
+    ran.
     """
     trials = count_at_least(trials, 0, "trials")
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
@@ -245,13 +248,16 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         size = int(rng.integers(0, m))
         S = tuple(int(i) for i in np.sort(rng.choice(m, size, replace=False)))
         draws.append((S, _draw_outside(rng, m, S)))
-    ref = _reference_phi(p, [d for S, v in draws for d in (S, S + (v,))]).reshape(-1, 2)
+    ref = _reference_phi(p, [S + (v,) for S, v in draws])
+    w = p.whitened.T
     violations = 0
     min_gain = math.inf
     max_err = 0.0
-    for (S, v), (phi_S, phi_Sv) in zip(draws, ref.tolist()):
-        dense_gain = phi_Sv - phi_S
-        formula_gain = math.log1p(_residual(p, S, v))
+    for (S, v), phi_Sv in zip(draws, ref.tolist()):
+        ws = w[list(S)]
+        c = _gram_factor(ws, p.n)
+        dense_gain = phi_Sv - float(_logdet(c))
+        formula_gain = math.log1p(_residual(c, ws, w[v]))
         err = abs(dense_gain - formula_gain)
         min_gain = min(min_gain, dense_gain)
         max_err = max(max_err, err)
@@ -260,24 +266,17 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     return MonotoneReport(trials, violations, _extreme(min_gain, trials), max_err)
 
 
-def _residual(p: InverseProblem, S, v: int) -> float:
-    """a_vv of the design S: v's Schur residual, from S's smaller Gram side.
+def _residual(c: np.ndarray, ws: np.ndarray, x: np.ndarray) -> float:
+    """v's Schur residual a_vv after S, from S's rows ws and c = _gram_factor(ws, n).
 
-    S and v are positions in p.active, and W_S, w_v the columns of
-    p.whitened there.  Woodbury gives
+    x is v's row w_v of p.whitened.T.  Woodbury gives, with one solve,
 
-        a_vv = K_vv - |c^-1 W_S' w_v|^2,  c = chol(I_s + W_S' W_S),  if s <= n,
-        a_vv = |c^-1 w_v|^2,              c = chol(I_n + W_S W_S'),  otherwise,
+        a_vv = K_vv - |c^-1 W_S' w_v|^2  if c is s x s,  |c^-1 w_v|^2  otherwise;
 
-    one Cholesky factor of dimension min(s, n) and one solve with it; the
-    empty design reads K_vv.
+    the empty design reads K_vv.
     """
-    w = p.whitened
-    x, ws = w[:, v], w[:, list(S)]
-    small = len(S) <= p.n
-    gram = ws.T @ ws if small else ws @ ws.T
-    np.einsum("ii->i", gram)[...] += 1.0
-    y = np.linalg.solve(np.linalg.cholesky(gram), ws.T @ x if small else x)
+    small = len(c) == len(ws)
+    y = np.linalg.solve(c, ws @ x if small else x)
     return float(x @ x - y @ y) if small else float(y @ y)
 
 

@@ -238,11 +238,13 @@ def _sensors(p, batch):
 def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     """Every draw stays in its order; the reference values come in one call.
 
-    Neither check makes a phi_eig call: check_monotone's formula side takes
-    each trial's residual from _residual's Gram-side factor.  The
-    checks draw positions in p.active; mapped to sensors, they are the
-    index designs of _parent_draws.  On a problem with gaps in p.active, a
-    candidate outside a design is drawn from the active ones alone.
+    Neither check makes a phi_eig call: check_monotone takes phi(S) and
+    each trial's residual from one _gram_factor of S, so its one batch
+    holds the S + v designs, v last; each S is that design minus its last
+    entry.  The checks draw positions in p.active; mapped to sensors, they
+    are the index designs of _parent_draws.  On a problem with gaps in
+    p.active, a candidate outside a design is drawn from the active ones
+    alone.
     """
     p = random_problem(np.random.default_rng(101), 5, 14)
     gaps = _with_gaps(102, 5, 14, (0, 6, 7, 12))
@@ -269,14 +271,16 @@ def test_sampled_checks_draw_the_same_designs_and_call_no_phi_eig(monkeypatch):
     assert phi_eig_calls == []
     assert _sensors(p, batches[0]) == _parent_draws(p, 40, 23, monotone=False)
     assert _sensors(ident, batches[1]) == _parent_table(ident)
-    assert _sensors(p, batches[2]) == _parent_draws(p, 30, 22, monotone=True)
+    for q, batch in ((p, batches[2]), (gaps, batches[4])):
+        parent = _parent_draws(q, 30, 22, monotone=True)
+        assert _sensors(q, batch) == parent[1::2]  # S + v
+        assert [d[:-1] for d in _sensors(q, batch)] == parent[0::2]  # S
     assert _sensors(gaps, batches[3]) == _parent_draws(gaps, 40, 23, monotone=False)
-    assert _sensors(gaps, batches[4]) == _parent_draws(gaps, 30, 22, monotone=True)
     assert _sensors(gaps, batches[5]) == _parent_table(gaps)
     # recorded from the checks that called phi_eig once per design
     assert _sensors(p, batches[0][:4]) == [(8,), (), (9, 8), (9,)]
     S = (0, 1, 2, 3, 5, 6, 7, 10, 11, 13)
-    assert _sensors(p, batches[2][:2]) == [S, S + (4,)]
+    assert _sensors(p, batches[2][:1]) == [S + (4,)]
 
 
 def test_mc_scalar_matches_analytic_value():
@@ -536,23 +540,79 @@ def test_monotone_residuals_match_the_kernel_after_add(monkeypatch, make, sides)
     the trials.
     """
     p = make()
-    trials, residual = [], verify._residual
+    batches, residuals = [], []
+    reference, residual = verify._reference_phi, verify._residual
 
-    def recording(q, S, v):
-        trials.append((S, v, residual(q, S, v)))
-        return trials[-1][2]
+    def recording_batch(q, designs):
+        batches.append(list(designs))
+        return reference(q, designs)
 
+    def recording(c, ws, x):
+        residuals.append(residual(c, ws, x))
+        return residuals[-1]
+
+    monkeypatch.setattr(verify, "_reference_phi", recording_batch)
     monkeypatch.setattr(verify, "_residual", recording)
     assert ss.check_monotone(p, trials=60, seed=7).ok
+    (batch,) = batches  # S + v per trial, v last
+    trials = [(d[:-1], d[-1], got) for d, got in zip(batch, residuals, strict=True)]
     assert {len(S) > p.n for S, _, _ in trials} == sides
-    eps = np.finfo(float).eps
     kern = objective.SchurKernel(p, len(p.active))
     for S, v, got in trials:
-        kern.t = 0
-        for j in S:
-            kern.add(j)
-        tr = float(np.sum(kern.diag[[*S, v]]))
-        assert abs(got - kern.r[v]) <= 2.0 * (p.n + len(S)) * eps * (1.0 + tr)
+        _assert_residual_matches_kernel(p, kern, S, v, got)
+
+
+def _assert_residual_matches_kernel(p, kern, S, v, got):
+    """got is a_vv after S within 2 (n + s) eps (1 + tr K over S + v) of kern.r[v]."""
+    kern.t = 0
+    for j in S:
+        kern.add(j)
+    tr = float(np.sum(kern.diag[[*S, v]]))
+    eps = np.finfo(float).eps
+    assert abs(got - kern.r[v]) <= 2.0 * (p.n + len(S)) * eps * (1.0 + tr)
+
+
+def test_monotone_factors_each_design_once(monkeypatch):
+    """check_monotone(trials=T) runs T Cholesky factorizations, one per drawn S,
+    the empty design included, plus one batched one per distinct size of
+    S + v: phi(S) comes from the trial's factor, not from a second one."""
+    p = random_problem(np.random.default_rng(108), 6, 20)
+    batches, calls = [], []
+    reference, cholesky = verify._reference_phi, np.linalg.cholesky
+    monkeypatch.setattr(verify, "_reference_phi",
+                        lambda q, designs: batches.append(list(designs)) or reference(q, designs))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    trials = 30
+    assert ss.check_monotone(p, trials=trials, seed=9).ok
+    (batch,) = batches
+    assert {len(d) - 1 for d in batch} - {len(d) for d in batch} - {0}  # sizes only S has
+    assert len(calls) == trials + len({len(d) for d in batch})
+    assert sum(len(shape) == 2 for shape in calls) == trials
+
+
+def test_gram_factor_gives_phi_and_residual_on_both_sides_of_n():
+    """At |S| in {n - 1, n, n + 1}, where _gram_factor changes side, the
+    trial's factor gives phi(S) within 2 (n + s) eps (1 + max K_vv) of
+    _reference_phi and of phi_eig's n x n factor, and _residual's a_vv
+    within the kernel bound of
+    test_monotone_residuals_match_the_kernel_after_add."""
+    p = random_problem(np.random.default_rng(109), 6, 20)
+    rng = np.random.default_rng(110)
+    w = p.whitened.T
+    big = 1.0 + float(np.max(np.sum(w * w, axis=1)))
+    kern = objective.SchurKernel(p, len(p.active))
+    eps = np.finfo(float).eps
+    for size in (p.n - 1, p.n, p.n + 1):
+        for _ in range(5):
+            pos = rng.choice(len(p.active), size + 1, replace=False).tolist()
+            S, v = tuple(sorted(pos[:-1])), pos[-1]
+            ws = w[list(S)]
+            c = verify._gram_factor(ws, p.n)
+            assert c.shape == (min(size, p.n),) * 2
+            phi = float(verify._logdet(c))
+            for ref in (verify._reference_phi(p, [S])[0], ss.phi_eig(p, [p.active[j] for j in S])):
+                assert abs(phi - ref) <= 2.0 * (p.n + size) * eps * big
+            _assert_residual_matches_kernel(p, kern, S, v, verify._residual(c, ws, w[v]))
 
 
 def test_monotone_peak_memory_is_below_one_design_of_kernel_rows(monkeypatch):
