@@ -18,14 +18,18 @@ double exactly; numtext writes the blocks, with the bytes of one '%.17g'
 per value.  Sensor indices are 1-based in files (and in the CLI); the
 library is 0-based internally.
 
-A file is read in one pass.  Nothing is allocated from n or n_s before the
-rows holding that many values are checked: a dense block is stacked from
-checked rows, and an identity block is made once the last line is checked.
+A file is parsed one line at a time, as its bytes are read in pieces, so
+no reader holds the whole file, its text or a list of its lines.  Lines
+break where str.splitlines breaks them, and a line number is the same
+whichever fault it names.  Nothing is allocated from n or n_s beyond what
+the file can hold: a dense block is filled from checked rows, and an
+identity block is made once the last line is checked.
 
 Parsing 17-digit text is the slow part of reading a problem, so parsed
 blocks are cached under the SHA-256 of the file's bytes: write_problem
 stores the blocks of the file it writes, read_problem those of each file it
-parses.  A hit builds the problem as a parse does, and is used if it has the
+parses.  read_problem hashes the file first; a miss then reads it again to
+parse it.  A hit builds the problem as a parse does, and is used if it has the
 stored content hash, so a file reads as one problem, with one error, either way.
 
 Report files carry the same header lines (schema_version, report kind,
@@ -47,6 +51,8 @@ import hashlib
 import os
 import sys
 import tempfile
+import zipfile
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -54,6 +60,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import __version__ as TOOL_VERSION
 from .model import Design, InverseProblem, build_problem, content_digest, count_at_least
@@ -83,29 +90,31 @@ def _fmt(x: float) -> str:
 
 
 class _Lines:
-    """Cursor over the meaningful lines of a file, each split when read."""
+    """Cursor over the meaningful lines of a text of size characters, each
+    taken from lines, the text's lines in order, and split when it is read."""
 
-    def __init__(self, text: str):
-        self.rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+    def __init__(self, lines, size: int):
+        self.size = size
+        self._rows = self._meaningful(lines)
+
+    @staticmethod
+    def _meaningful(lines):
+        for lineno, raw in enumerate(lines, start=1):
             body = raw.split("#", 1)[0].strip()
             if body:
-                self.rows.append((lineno, body))
-        self.pos = 0
-
-    def left(self) -> int:
-        return len(self.rows) - self.pos
+                yield lineno, body
 
     def next(self, context: str) -> tuple[int, list[str]]:
-        if not self.left():
+        row = next(self._rows, None)
+        if row is None:
             raise ProblemFormatError(f"unexpected end of file, expected {context}")
-        lineno, body = self.rows[self.pos]
-        self.pos += 1
+        lineno, body = row
         return lineno, body.split()
 
     def end(self) -> None:
-        if self.left():
-            raise ProblemFormatError("unexpected trailing content", self.rows[self.pos][0])
+        row = next(self._rows, None)
+        if row is not None:
+            raise ProblemFormatError("unexpected trailing content", row[0])
 
 
 def _floats(lineno, tokens, count, label) -> np.ndarray:
@@ -169,25 +178,32 @@ def _expect_schema(lines: _Lines) -> None:
         raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
 
 
-def _expect_size(lines: _Lines, key: str, most: int, of: str) -> int:
-    """A positive integer field.  Blocks are stacked from checked rows, so
-    the O(1) bound most only names the header line for a size too large."""
+def _expect_size(lines: _Lines, key: str) -> int:
+    """A positive integer field.  Blocks are filled from checked rows, so the
+    bound, the text's length, only names the header line for a size too large."""
     lineno, rest = _expect_key(lines, key)
     size = _at_least(1, _one(rest, key, lineno), f"'{key}'", lineno)
-    if size > most:
-        raise ProblemFormatError(f"{key} = {size} exceeds the {most} {of}", lineno)
+    if size > lines.size:
+        raise ProblemFormatError(
+            f"{key} = {size} exceeds the {lines.size} characters of the file", lineno)
     return size
 
 
 def _read_block(lines: _Lines, key: str, rows: int, cols: int, forms=("identity", "dense")):
-    """A dense block stacked from its checked rows, or None for 'identity'."""
+    """A dense block filled from its checked rows, or None for 'identity'.
+
+    The block is made no larger than the text can hold: a row of cols
+    values and its line break take at least 2 cols characters, and the
+    text's last line needs no break, so no parse gets past the rows made."""
     lineno, rest = _expect_key(lines, key)
     if len(rest) != 1 or rest[0] not in forms:
         raise ProblemFormatError(f"'{key}' must be one of {forms}", lineno)
     if rest[0] == "identity":
         return None
-    return np.array([_finite_floats(*lines.next(f"row {r} of {key}"), cols, f"{key} row {r}")
-                     for r in range(1, rows + 1)])
+    block = np.empty((min(rows, (lines.size + 1) // (2 * cols)), cols))
+    for r in range(1, rows + 1):
+        block[r - 1] = _finite_floats(*lines.next(f"row {r} of {key}"), cols, f"{key} row {r}")
+    return block
 
 
 def _read_vector(lines: _Lines, key: str, count: int) -> np.ndarray:
@@ -195,12 +211,11 @@ def _read_vector(lines: _Lines, key: str, count: int) -> np.ndarray:
     return _finite_floats(*lines.next(f"values of {key}"), count, key)
 
 
-def _parse_blocks(text: str) -> tuple:
-    """(M, Gamma_pr, F, sigma, m_pr) of a problem text, None for an identity block."""
-    lines = _Lines(text)
+def _parse_blocks(lines: _Lines) -> tuple:
+    """(M, Gamma_pr, F, sigma, m_pr) of a problem's lines, None for an identity block."""
     _expect_schema(lines)
-    n = _expect_size(lines, "n", len(text), "characters of the file")
-    n_s = _expect_size(lines, "n_s", lines.left() - 1, "lines below")
+    n = _expect_size(lines, "n")
+    n_s = _expect_size(lines, "n_s")
     M = _read_block(lines, "M", n, n)
     gamma = _read_block(lines, "Gamma_pr", n, n)
     F = _read_block(lines, "F", n_s, n, forms=("dense",))
@@ -221,22 +236,68 @@ def _build(blocks) -> InverseProblem:
     return build_problem(WeightedSpace(M), F, sigma, m_pr, gamma)
 
 
+def _text_lines(text: str) -> _Lines:
+    return _Lines(text.splitlines(), len(text))
+
+
 def parse_problem_text(text: str) -> InverseProblem:
-    return _build(_parse_blocks(text))
+    return _build(_parse_blocks(_text_lines(text)))
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+# Files are read _PIECE bytes at a time, and hashed through one reused buffer
+# of that size: below glibc's 128 KiB mmap threshold a piece comes from the
+# heap, which later phases reuse, where a larger one is mapped afresh and
+# raises a whole command's peak.
+_PIECE = 1 << 16
+# str.splitlines' line breaks among ASCII characters; "\r\n" is one break
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _ascii(data: bytes) -> str:
-    """data as ASCII text; a non-ASCII byte is a format error at its line."""
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ProblemFormatError(f"byte 0x{data[exc.start]:02x} is not ASCII",
-                                 data.count(b"\n", 0, exc.start) + 1) from None
+def _pieces(fh, size: int, digest):
+    """The first size bytes of the binary file fh, _PIECE at a time, each
+    added to digest as it is read."""
+    while size > 0 and (piece := fh.read(min(_PIECE, size))):
+        digest.update(piece)
+        size -= len(piece)
+        yield piece
+
+
+def _file_lines(pieces):
+    """The lines of the text in pieces of bytes, broken where str.splitlines
+    breaks the whole text, each given as soon as it ends.
+
+    Each piece is checked for ASCII as it arrives: a non-ASCII byte is a
+    format error at its line.  A line that runs on past a piece is held as
+    its parts until it ends, and a "\r" that ends a piece is the start of a
+    "\r\n" when the next piece starts with "\n".
+    """
+    count = 0  # lines given so far
+    part = []  # the parts of a line that runs on
+    cr = False
+    for piece in pieces:
+        if cr and piece[:1] == b"\n":
+            piece = piece[1:]
+        try:
+            text = piece.decode("ascii")
+        except UnicodeDecodeError as exc:
+            head = "".join(part) + piece[:exc.start].decode("ascii")
+            raise ProblemFormatError(f"byte 0x{piece[exc.start]:02x} is not ASCII",
+                                     count + len((head + "?").splitlines())) from None
+        cr = text.endswith("\r")
+        lines = text.splitlines()
+        runs_on = text[-1:] not in _BREAKS  # False for "", which is in every string
+        if runs_on:
+            last = lines.pop()
+        if lines:
+            part.append(lines[0])
+            lines[0] = "".join(part)
+            part = []
+            count += len(lines)
+            yield from lines
+        if runs_on:
+            part.append(last)
+    if part:
+        yield "".join(part)
 
 
 # The cache of parsed blocks.  An entry is keyed by the bytes of the file it
@@ -301,8 +362,13 @@ def _cache_put(key: str, blocks, content_hash: str) -> None:
     try:
         os.makedirs(where, mode=0o700, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=where)
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, content_hash=content_hash, **arrays)
+        # the members np.savez writes, each written from its array in place,
+        # where savez copies an array in pieces of up to 16 MiB
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as entry:
+            for name, A in (("content_hash", np.array(content_hash)), *arrays.items()):
+                with entry.open(name + ".npy", "w", force_zip64=True) as member:
+                    npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(A))
+                    member.write(A.data)
         os.replace(tmp, path)
         tmp = None
         with os.scandir(where) as it:
@@ -315,20 +381,39 @@ def _cache_put(key: str, blocks, content_hash: str) -> None:
                 os.remove(tmp)
 
 
+def _file_key(fh) -> str:
+    """_cache_key of the bytes of the binary file fh, read into one reused buffer."""
+    key = hashlib.sha256(_CACHE_VERSION)
+    buf = memoryview(bytearray(_PIECE))
+    while size := fh.readinto(buf):
+        key.update(buf[:size])
+    return key.hexdigest()
+
+
 def read_problem(path) -> InverseProblem:
     """The problem in a file, its blocks taken from the cache when these bytes
-    were parsed or written before; its content hash is made here, once.  A file
-    is stored once it has parsed and built, so a faulty one is refused every time."""
-    data = _read_bytes(path)
-    key = _cache_key(data)
-    p = _cache_get(key)
-    if p is not None:
-        return p
-    text = _ascii(data)
-    del data  # the parse holds the text alone
-    blocks = _parse_blocks(text)
+    were parsed or written before; its content hash is made here, once.
+
+    A hit reads the file once, to hash it.  A miss reads it again, one line
+    at a time, and stores the blocks under the hash of the bytes it parsed,
+    not of those first read, in case the file changed in between.  A file is
+    stored once it has parsed and built, so a faulty one is refused every time.
+    """
+    with open(path, "rb") as fh:
+        p = _cache_get(_file_key(fh))
+        if p is not None:
+            return p
+        fh.seek(0)
+        size = os.fstat(fh.fileno()).st_size
+        key = hashlib.sha256(_CACHE_VERSION)
+        lines = _file_lines(_pieces(fh, size, key))
+        try:
+            blocks = _parse_blocks(_Lines(lines, size))
+        except ProblemFormatError:
+            deque(lines, maxlen=0)  # a non-ASCII byte anywhere is the fault to name
+            raise
     p = _build(blocks)
-    _cache_put(key, blocks, p.content_hash())
+    _cache_put(key.hexdigest(), blocks, p.content_hash())
     return p
 
 
@@ -634,8 +719,7 @@ def write_report(payload, path, problem_hash=None, tool_version=TOOL_VERSION,
         fh.write(report_text(payload, problem_hash, tool_version, timestamp))
 
 
-def parse_report_text(text: str) -> ReportFile:
-    lines = _Lines(text)
+def _parse_report(lines: _Lines) -> ReportFile:
     _expect_schema(lines)
     head = _load_fields(lines, _HEADER)
     _, _, table, build = _KINDS[head["kind"]]
@@ -644,5 +728,11 @@ def parse_report_text(text: str) -> ReportFile:
     return ReportFile(payload=payload, **head)
 
 
+def parse_report_text(text: str) -> ReportFile:
+    return _parse_report(_text_lines(text))
+
+
 def read_report(path) -> ReportFile:
-    return parse_report_text(_ascii(_read_bytes(path)))
+    with open(path, "rb") as fh:  # all of a report is checked for ASCII before any is parsed
+        lines = _Lines(list(_file_lines(iter(partial(fh.read, _PIECE), b""))), fh.tell())
+    return _parse_report(lines)

@@ -152,7 +152,7 @@ def content_digest(M, gamma_pr, F, sigma, m_pr) -> str:
         a = np.ascontiguousarray(arr, dtype=float)
         h.update(tag)
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a)  # its bytes, read in place
     return h.hexdigest()
 
 
@@ -256,14 +256,17 @@ class Posterior:
 
 def hessian_misfit(p: InverseProblem, S) -> Operator:
     """Data-misfit Hessian H(S) = sum_{i in S} s_i (x) s_i."""
-    s = p.sensor_vecs[:, list(validate_design(p, S))]
-    return Operator(p.space, s @ (p.space.M @ s).T)
+    return Operator(p.space, _outer_sum(p, p.sensor_vecs[:, list(validate_design(p, S))]))
 
 
 def hessian_preconditioned(p: InverseProblem, S) -> Operator:
     """Prior-preconditioned misfit Hessian Ht(S) = sum_{i in S} st_i (x) st_i."""
-    st = p.precond_vecs[:, list(validate_design(p, S))]
-    return Operator(p.space, st @ (p.space.M @ st).T)
+    return Operator(p.space, _outer_sum(p, p.precond_vecs[:, list(validate_design(p, S))]))
+
+
+def _outer_sum(p: InverseProblem, vecs) -> np.ndarray:
+    """The representation of sum_j v_j (x) v_j over the columns v_j of vecs."""
+    return vecs @ (p.space.M @ vecs).T
 
 
 def posterior(p: InverseProblem, S, y) -> Posterior:
@@ -283,21 +286,25 @@ def posterior(p: InverseProblem, S, y) -> Posterior:
     if not idx:
         mean = np.broadcast_to(p.m_pr, y.shape[:-1] + (p.n,)).copy()
         return Posterior(mean, Operator(p.space, p.gamma_pr.rep.copy()))
-    cov_rep = _posterior_cov(p, idx)
-    return Posterior(_posterior_mean(p, idx, y, cov_rep), Operator(p.space, cov_rep))
+    cols = list(idx)
+    vecs = p.sensor_vecs[:, cols]
+    cov_rep = _posterior_cov(p, vecs)
+    return Posterior(_posterior_mean(p, vecs, p.sigma[cols], y, cov_rep),
+                     Operator(p.space, cov_rep))
 
 
-def _posterior_cov(p: InverseProblem, idx) -> np.ndarray:
-    """Gamma_post = (H(S) + Gamma_pr^-1)^-1 of a nonempty validated design.
+def _posterior_cov(p: InverseProblem, vecs) -> np.ndarray:
+    """Gamma_post = (H(S) + Gamma_pr^-1)^-1 of a nonempty design, from its
+    sensor vectors vecs = p.sensor_vecs[:, S].
 
     It does not depend on the data, so mc_eig forms it once per call.
     """
-    return np.linalg.inv(hessian_misfit(p, idx).rep + p.gamma_pr_inv.rep)
+    return np.linalg.inv(_outer_sum(p, vecs) + p.gamma_pr_inv.rep)
 
 
-def _posterior_mean(p: InverseProblem, idx, y, cov_rep) -> np.ndarray:
-    """Posterior mean rows for data rows y, given the design's Gamma_post."""
-    cols = list(idx)
-    # rows M^-1 F_S' Gn^-1 y = sum_i y_i / sigma_i s_i, from the cached s_i
-    rhs = (y / p.sigma[cols]) @ p.sensor_vecs[:, cols].T + p.gamma_pr_inv.rep @ p.m_pr
+def _posterior_mean(p: InverseProblem, vecs, sigma, y, cov_rep) -> np.ndarray:
+    """Posterior mean rows for data rows y, given a design's sensor vectors
+    vecs = p.sensor_vecs[:, S], its noise levels sigma and its Gamma_post."""
+    # rows M^-1 F_S' Gn^-1 y = sum_i y_i / sigma_i s_i
+    rhs = (y / sigma) @ vecs.T + p.gamma_pr_inv.rep @ p.m_pr
     return rhs @ cov_rep.T

@@ -678,3 +678,156 @@ def test_hit_is_bitwise_the_parse(cache, parses, tmp_path, make, seed_by):
     # the entry holds the problem_hash of the file's reports
     with np.load(entry_of(cache, path), allow_pickle=False) as entry:
         assert str(entry["content_hash"]) == fileio.read_problem(path).content_hash()
+
+
+# Reading a file one line at a time, and what each read holds.
+
+DENSE_HEAD = ["schema_version 1", "n 2", "n_s 2"]
+DENSE_TAIL = """\
+M dense
+2 1
+1 2
+Gamma_pr identity
+F dense
+1 0
+0 1
+sigma
+1 1
+m_pr
+0 0
+"""
+
+
+def test_non_ascii_byte_is_numbered_by_the_parsers_line_breaks(tmp_path):
+    """A lone "\\r" breaks a line for the parser, and so for the ASCII check:
+    the byte in 'M dense' is on line 4, not on the second "\\n" line."""
+    with_cr = "\r".join(DENSE_HEAD) + "\n" + DENSE_TAIL
+    path = tmp_path / "cr.prob"
+    path.write_bytes(with_cr.encode("ascii"))
+    assert fileio.read_problem(path).n_s == 2
+    path.write_bytes(with_cr.replace("M dense", "M dense\xe9").encode("latin-1"))
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.read_problem(path)
+    assert exc.value.line == 4 and "byte 0xe9 is not ASCII" in str(exc.value)
+
+
+def test_a_non_ascii_byte_is_named_before_an_earlier_fault(tmp_path):
+    """A file is refused for a non-ASCII byte wherever it lies, as when the
+    whole file was decoded before the parse."""
+    rows = ("\n".join(DENSE_HEAD) + "\n" + DENSE_TAIL).encode("ascii").split(b"\n")
+    rows[5] = b"1 x"  # a bad value in M, on line 6
+    rows[-2] += b"\xe9"  # and a non-ASCII byte in m_pr's values, on line 14
+    path = tmp_path / "two-faults.prob"
+    path.write_bytes(b"\n".join(rows))
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.read_problem(path)
+    assert exc.value.line == 14 and "byte 0xe9 is not ASCII" in str(exc.value)
+
+
+def _cut(data: bytes, rng) -> list:
+    """data in pieces cut at up to six random places."""
+    cuts = sorted(rng.choice(len(data) + 1, min(6, len(data) + 1), replace=False).tolist())
+    return [data[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)]) if b > a]
+
+
+def test_file_lines_break_where_splitlines_breaks_in_any_pieces():
+    """Every ASCII line break of str.splitlines, "\\r\\n" cut between pieces
+    included, and a non-ASCII byte numbered as its line in the whole text."""
+    rng = np.random.default_rng(41)
+    alphabet = list("ab #\n\r\x0b\x0c\x1c\x1d\x1e\x1f\t")
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet, int(rng.integers(0, 30))))
+        data = text.encode("ascii")
+        assert list(fileio._file_lines(_cut(data, rng))) == text.splitlines()
+        at = int(rng.integers(0, len(data) + 1))
+        with pytest.raises(fileio.ProblemFormatError) as exc:
+            list(fileio._file_lines(_cut(data[:at] + b"\xe9" + data[at:], rng)))
+        assert exc.value.line == len((text[:at] + "?").splitlines())
+
+
+def test_a_miss_stores_its_entry_under_the_bytes_it_parsed(cache, parses, tmp_path, monkeypatch):
+    """The file changes between the hash and the parse: the entry goes under
+    the key of the bytes parsed, which a later read of them hits."""
+    path = tmp_path / "p.prob"
+    first, second = three_sensor_problem(), identity_problem(2)
+    path.write_text(fileio.problem_text(first))
+    old_key = fileio._cache_key(path.read_bytes())
+    get = fileio._cache_get
+
+    def rewrite_then_miss(key):
+        assert key == old_key
+        path.write_text(fileio.problem_text(second))
+        return None
+    monkeypatch.setattr(fileio, "_cache_get", rewrite_then_miss)
+    p = fileio.read_problem(path)
+    assert p.content_hash() == second.content_hash()
+    assert [e.name for e in cache.iterdir()] == [entry_of(cache, path).name]
+    monkeypatch.setattr(fileio, "_cache_get", get)
+    assert fileio.read_problem(path).content_hash() == second.content_hash()
+    assert parses[0] == 1
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A problem 20 x 20,000 and its text, about 8 MB; its widest line, sigma's,
+    holds 20,000 values."""
+    p = random_problem(np.random.default_rng(42), 20, 20_000)
+    return p, fileio.problem_text(p)
+
+
+def _traced_peak(call, tmp_path):
+    """call's result and its tracemalloc peak, after a miss and a hit on a
+    small file have made the readers' first-use imports and caches."""
+    small = tmp_path / "small.prob"
+    small.write_text(GOOD)
+    fileio.read_problem(small)
+    fileio.read_problem(small)
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_hit_holds_less_than_the_file(cache, tmp_path, wide):
+    p, text = wide
+    path = tmp_path / "wide.prob"
+    fileio.write_problem(p, path)
+    hit, peak = _traced_peak(lambda: fileio.read_problem(path), tmp_path)
+    assert hit.content_hash() == p.content_hash()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\f"], ids=["lf", "crlf", "cr", "ff"])
+def test_a_miss_holds_its_blocks_and_a_few_lines(cache, parses, tmp_path, wide, newline):
+    """A miss peaks below the blocks it parses plus two of the widest line,
+    each as its text, its tokens and its row of floats; it reads back the
+    problem a hit reads."""
+    p, text = wide
+    path = tmp_path / "wide.prob"
+    path.write_bytes(text.replace("\n", newline).encode("ascii"))
+    miss, peak = _traced_peak(lambda: fileio.read_problem(path), tmp_path)
+    assert parses[0] == 2  # the small file's, then this one's
+    hit = fileio.read_problem(path)
+    assert parses[0] == 2
+    assert miss.content_hash() == hit.content_hash() == p.content_hash()
+    for a, b in ((miss.space.M, hit.space.M), (miss.gamma_pr.rep, hit.gamma_pr.rep),
+                 (miss.F, hit.F), (miss.sigma, hit.sigma), (miss.m_pr, hit.m_pr)):
+        assert np.array_equal(a, b)
+    line = text.splitlines()[-3]  # sigma's values
+    tokens = line.split()
+    widest = (sys.getsizeof(line) + sys.getsizeof(tokens) + sum(map(sys.getsizeof, tokens))
+              + 8 * len(tokens))
+    blocks = sum(A.nbytes for A in (p.space.M, p.gamma_pr.rep, p.F, p.sigma, p.m_pr))
+    assert peak < blocks + 2 * widest
+
+
+@pytest.mark.parametrize("key, line", [("n", 2), ("n_s", 3)])
+def test_a_header_size_is_bounded_by_the_characters_of_the_file(key, line):
+    text = GOOD.replace(f"\n{key} ", f"\n{key} 9999", 1)
+    size = int(re.search(rf"\n{key} (\d+)", text).group(1))
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.parse_problem_text(text)
+    assert str(exc.value) == (f"line {line}: {key} = {size} exceeds the {len(text)} "
+                              "characters of the file")

@@ -470,6 +470,23 @@ def test_mc_forms_the_posterior_covariance_once(monkeypatch):
     assert sorted(calls) == ["inv", "slogdet"]
 
 
+def test_mc_gathers_the_design_columns_once(monkeypatch):
+    """Three blocks of samples share one gather of the design's sensor vectors,
+    which the posterior covariance uses too."""
+    p = random_problem(np.random.default_rng(98), 6, 5)
+    want = ss.mc_eig(p, p.active, n_samples=2 * verify._MC_BLOCK + 1, seed=3)
+    gathers = []
+
+    class Counted(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            return np.asarray(self)[key]
+    p.__dict__["sensor_vecs"] = p.sensor_vecs.view(Counted)
+    got = ss.mc_eig(p, p.active, n_samples=2 * verify._MC_BLOCK + 1, seed=3)
+    assert len(gathers) == 1
+    assert (got.mean_kl, got.std_error) == (want.mean_kl, want.std_error)
+
+
 def test_mc_stderr_concentration():
     """Standard error must shrink like 1 / sqrt(samples), within a factor 2."""
     p = scalar_problem()
@@ -763,3 +780,23 @@ def test_verification_run_full_pipeline():
     assert summary.seed == 17
     assert summary.mc_target == pytest.approx(0.5 * ss.phi_eig(p, summary.mc_design))
     assert abs(summary.mc.mean_kl - summary.mc_target) <= 3.0 * summary.mc.std_error
+
+
+def test_verification_run_runs_mc_first_and_returns_the_parts_run_alone(monkeypatch):
+    """The Monte Carlo pass runs before the property checks, and the summary
+    holds what each part gives run on its own."""
+    p = random_problem(np.random.default_rng(99), 8, 12)
+    alone = (ss.check_monotone(p, trials=30, seed=4),
+             ss.check_submodular(p, mode="auto", trials=30, seed=5),
+             ss.mc_eig(p, p.active, 700, 6))
+    order = []
+    for name in ("mc_eig", "check_monotone", "check_submodular"):
+        def recorded(*args, _name=name, _real=getattr(verify, name), **kwargs):
+            order.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(verify, name, recorded)
+    summary = ss.verification_run(p, trials=30, samples=700, seed=4)
+    assert order == ["mc_eig", "check_monotone", "check_submodular"]
+    assert (summary.monotone, summary.submodular, summary.mc) == alone
+    assert summary.mc_design == p.active and summary.seed == 4
+    assert summary.mc_target == 0.5 * ss.phi_eig(p, p.active)
