@@ -18,12 +18,15 @@ double exactly; numtext writes the blocks, with the bytes of one '%.17g'
 per value.  Sensor indices are 1-based in files (and in the CLI); the
 library is 0-based internally.
 
-A file is parsed one line at a time, as its bytes are read in pieces, so
-no reader holds the whole file, its text or a list of its lines.  Lines
-break where str.splitlines breaks them, and a line number is the same
-whichever fault it names.  Nothing is allocated from n or n_s beyond what
-the file can hold: a dense block is filled from checked rows, and an
-identity block is made once the last line is checked.
+Every problem and report, a file's or a text's UTF-8 bytes, is read one
+"\n"-terminated line at a time and parsed as it is read, so a reader holds
+one "\n" line of it, and the whole text only where it has no "\n".  Each
+"\n" line is checked for ASCII and split as str.splitlines splits it; a
+"\r\n" never spans two "\n" lines, so lines break where str.splitlines
+breaks the whole text, and a line number is the same whichever fault it
+names.  Nothing is allocated from n or n_s beyond what the file can hold:
+a dense block is filled from checked rows, and an identity block is made
+once the last line is checked.
 
 Parsing 17-digit text is the slow part of reading a problem, so parsed
 blocks are cached under the SHA-256 of the file's bytes: write_problem
@@ -48,6 +51,7 @@ encoder.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -236,77 +240,61 @@ def _build(blocks) -> InverseProblem:
     return build_problem(WeightedSpace(M), F, sigma, m_pr, gamma)
 
 
-def _text_lines(text: str) -> _Lines:
-    return _Lines(text.splitlines(), len(text))
-
-
 def parse_problem_text(text: str) -> InverseProblem:
-    return _build(_parse_blocks(_text_lines(text)))
+    return _build(_parse_text(text, _parse_blocks))
 
 
-# Files are read _PIECE bytes at a time, and hashed through one reused buffer
-# of that size: below glibc's 128 KiB mmap threshold a piece comes from the
-# heap, which later phases reuse, where a larger one is mapped afresh and
-# raises a whole command's peak.
-_PIECE = 1 << 16
-# str.splitlines' line breaks among ASCII characters; "\r\n" is one break
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
+def _file_lines(fh, size: int, digest=None):
+    """The lines of the first size bytes of the binary file fh, broken where
+    str.splitlines breaks the whole text, each given as soon as it ends.
 
-
-def _pieces(fh, size: int, digest):
-    """The first size bytes of the binary file fh, _PIECE at a time, each
-    added to digest as it is read."""
-    while size > 0 and (piece := fh.read(min(_PIECE, size))):
-        digest.update(piece)
-        size -= len(piece)
-        yield piece
-
-
-def _file_lines(pieces):
-    """The lines of the text in pieces of bytes, broken where str.splitlines
-    breaks the whole text, each given as soon as it ends.
-
-    Each piece is checked for ASCII as it arrives: a non-ASCII byte is a
-    format error at its line.  A line that runs on past a piece is held as
-    its parts until it ends, and a "\r" that ends a piece is the start of a
-    "\r\n" when the next piece starts with "\n".
+    fh is read one "\n"-terminated line at a time, each added to digest as
+    it is read and decoded as ASCII: a non-ASCII byte is a format error at
+    its line.  A "\r\n" ends within one "\n" line, so splitting each one
+    breaks the text where splitting the whole does.
     """
     count = 0  # lines given so far
-    part = []  # the parts of a line that runs on
-    cr = False
-    for piece in pieces:
-        if cr and piece[:1] == b"\n":
-            piece = piece[1:]
+    while size > 0 and (line := fh.readline(size)):
+        size -= len(line)
+        if digest is not None:
+            digest.update(line)
         try:
-            text = piece.decode("ascii")
+            lines = line.decode("ascii").splitlines()
         except UnicodeDecodeError as exc:
-            head = "".join(part) + piece[:exc.start].decode("ascii")
-            raise ProblemFormatError(f"byte 0x{piece[exc.start]:02x} is not ASCII",
+            head = line[:exc.start].decode("ascii")
+            raise ProblemFormatError(f"byte 0x{line[exc.start]:02x} is not ASCII",
                                      count + len((head + "?").splitlines())) from None
-        cr = text.endswith("\r")
-        lines = text.splitlines()
-        runs_on = text[-1:] not in _BREAKS  # False for "", which is in every string
-        if runs_on:
-            last = lines.pop()
-        if lines:
-            part.append(lines[0])
-            lines[0] = "".join(part)
-            part = []
-            count += len(lines)
-            yield from lines
-        if runs_on:
-            part.append(last)
-    if part:
-        yield "".join(part)
+        count += len(lines)
+        yield from lines
+
+
+def _parse_file(fh, size: int, parse, digest=None):
+    """parse of the _Lines of the first size bytes of the binary file fh.
+
+    A format error reads the rest of those bytes before it is raised, so
+    a non-ASCII byte anywhere is the fault named."""
+    lines = _file_lines(fh, size, digest)
+    try:
+        return parse(_Lines(lines, size))
+    except ProblemFormatError:
+        deque(lines, maxlen=0)
+        raise
+
+
+def _parse_text(text: str, parse):
+    """_parse_file of text's UTF-8 bytes, a lone surrogate's included."""
+    data = text.encode("utf-8", "surrogatepass")
+    return _parse_file(io.BytesIO(data), len(data), parse)
 
 
 # The cache of parsed blocks.  An entry is keyed by the bytes of the file it
-# was parsed from, so bump _CACHE_VERSION whenever the parse rules or the
-# entries change.  An uncompressed .npz holds each block under its section
-# name, an identity block by its absence, and the content_hash of the problem
-# the file reads back as, its reports' problem_hash, as "content_hash".  The
-# cache keeps the _CACHE_ENTRIES most recently used entries, and is skipped
-# silently where it cannot be written.
+# was parsed from, as the SHA-256 of _CACHE_VERSION and then those bytes, so
+# bump _CACHE_VERSION whenever the parse rules or the entries change.  An
+# uncompressed .npz holds each block under its section name, an identity block
+# by its absence, and the content_hash of the problem the file reads back as,
+# its reports' problem_hash, as "content_hash".  The cache keeps the
+# _CACHE_ENTRIES most recently used entries, and is skipped silently where it
+# cannot be written.
 _CACHE_VERSION = b"senselect problem cache 2\n"
 _CACHE_ENTRIES = 8
 _BLOCK_NAMES = ("M", "Gamma_pr", "F", "sigma", "m_pr")
@@ -319,12 +307,6 @@ def _cache_path(key: str) -> str | None:
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "senselect", key + ".npz") if os.path.isabs(base) else None
-
-
-def _cache_key(data: bytes) -> str:
-    h = hashlib.sha256(_CACHE_VERSION)
-    h.update(data)
-    return h.hexdigest()
 
 
 def _cache_get(key: str) -> InverseProblem | None:
@@ -381,8 +363,16 @@ def _cache_put(key: str, blocks, content_hash: str) -> None:
                 os.remove(tmp)
 
 
+# A problem file is read through a file buffer of _PIECE bytes, which takes a
+# row of a wide block in a few reads where the default 8 KiB takes many, and
+# a hit hashes it through one reused buffer of that size: below glibc's
+# 128 KiB mmap threshold each comes from the heap, which later phases reuse,
+# where a larger one is mapped afresh and raises a whole command's peak.
+_PIECE = 1 << 16
+
+
 def _file_key(fh) -> str:
-    """_cache_key of the bytes of the binary file fh, read into one reused buffer."""
+    """The cache key of the bytes of the binary file fh, read into one reused buffer."""
     key = hashlib.sha256(_CACHE_VERSION)
     buf = memoryview(bytearray(_PIECE))
     while size := fh.readinto(buf):
@@ -399,19 +389,13 @@ def read_problem(path) -> InverseProblem:
     not of those first read, in case the file changed in between.  A file is
     stored once it has parsed and built, so a faulty one is refused every time.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_PIECE) as fh:
         p = _cache_get(_file_key(fh))
         if p is not None:
             return p
         fh.seek(0)
-        size = os.fstat(fh.fileno()).st_size
         key = hashlib.sha256(_CACHE_VERSION)
-        lines = _file_lines(_pieces(fh, size, key))
-        try:
-            blocks = _parse_blocks(_Lines(lines, size))
-        except ProblemFormatError:
-            deque(lines, maxlen=0)  # a non-ASCII byte anywhere is the fault to name
-            raise
+        blocks = _parse_file(fh, os.fstat(fh.fileno()).st_size, _parse_blocks, key)
     p = _build(blocks)
     _cache_put(key.hexdigest(), blocks, p.content_hash())
     return p
@@ -451,7 +435,7 @@ def problem_text(p: InverseProblem) -> str:
 def write_problem(p: InverseProblem, path) -> None:
     """Write p's file and cache its blocks, with their hash as read back, under its bytes."""
     blocks = _written_blocks(p)
-    key = hashlib.sha256(_CACHE_VERSION)  # _cache_key of the bytes, as they are written
+    key = hashlib.sha256(_CACHE_VERSION)  # the cache key of the bytes, as they are written
     with open(path, "wb") as fh:
         for data in _problem_lines(blocks):
             key.update(data)
@@ -638,14 +622,15 @@ def _certificate(*fields):
 
 
 def _verification_summary(v) -> VerificationSummary:
-    from .verify import McEigEstimate, MonotoneReport, SubmodularReport, VerificationSummary
+    from .verify import (McEigEstimate, MonotoneReport, SubmodularReport, VerificationSummary,
+                         mc_seed)
 
     def part(cls, name, **more):
         return cls(**{a[len(name) + 1:]: x for a, x in v.items() if a.startswith(name + ".")},
                    **more)
     return VerificationSummary(
         part(MonotoneReport, "monotone"), part(SubmodularReport, "submodular"),
-        part(McEigEstimate, "mc", seed=v["seed"] + 2),
+        part(McEigEstimate, "mc", seed=mc_seed(v["seed"])),
         v["mc_design"], v["mc_target"], v["mc_ok"], v["seed"])
 
 
@@ -729,10 +714,9 @@ def _parse_report(lines: _Lines) -> ReportFile:
 
 
 def parse_report_text(text: str) -> ReportFile:
-    return _parse_report(_text_lines(text))
+    return _parse_text(text, _parse_report)
 
 
 def read_report(path) -> ReportFile:
-    with open(path, "rb") as fh:  # all of a report is checked for ASCII before any is parsed
-        lines = _Lines(list(_file_lines(iter(partial(fh.read, _PIECE), b""))), fh.tell())
-    return _parse_report(lines)
+    with open(path, "rb") as fh:
+        return _parse_file(fh, os.fstat(fh.fileno()).st_size, _parse_report)

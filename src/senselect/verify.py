@@ -181,16 +181,17 @@ def _reference_phi(p: InverseProblem, designs) -> np.ndarray:
     designs are sequences of positions in p.active, drawn by the checks
     themselves.  The designs of one size go through one batched
     _gram_factor.  Each design is sorted first, so equal designs get equal
-    values; the empty design gets exactly 0.
+    values; the empty design gets exactly 0.  p.whitened is read only to
+    score a nonempty design, so a call without one leaves it unformed.
     """
     out = np.zeros(len(designs))
-    w = p.whitened.T  # row j: position j, sensor p.active[j]
     by_size = {}
     for pos, d in enumerate(designs):
         by_size.setdefault(len(d), []).append(pos)
     for size, pos in by_size.items():
         if size:
             S = np.sort(np.array([designs[i] for i in pos]), axis=1)
+            w = p.whitened.T  # row j: position j, sensor p.active[j]
             out[pos] = _logdet(_gram_factor(w[S], p.n))
     return out
 
@@ -241,7 +242,7 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
     rows and factor, never a kernel sized by the largest design.  It tests
     that form, not greedy's row-by-row SchurKernel arithmetic, which the
     exhaustive submodularity check reads.  min_gain is 0.0 when no trial
-    ran.
+    ran, and p.whitened is then never formed.
     """
     trials = count_at_least(trials, 0, "trials")
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
@@ -254,11 +255,11 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         S = tuple(int(i) for i in np.sort(rng.choice(m, size, replace=False)))
         draws.append((S, _draw_outside(rng, m, S)))
     ref = _reference_phi(p, [S + (v,) for S, v in draws])
-    w = p.whitened.T
     violations = 0
     min_gain = math.inf
     max_err = 0.0
     for (S, v), phi_Sv in zip(draws, ref.tolist()):
+        w = p.whitened.T
         ws = w[list(S)]
         c = _gram_factor(ws, p.n)
         dense_gain = phi_Sv - float(_logdet(c))
@@ -401,14 +402,19 @@ class VerificationSummary:
         return self.monotone.ok and self.submodular.ok and self.mc_ok
 
 
+def mc_seed(seed: int) -> int:
+    """The seed of verification_run's MC estimate, from its base seed."""
+    return seed + 2
+
+
 def verification_run(
     p: InverseProblem, trials: int = 200, samples: int = 2000, seed: int = 0
 ) -> VerificationSummary:
     """Run all checks on one problem.
 
     The sub-checks draw from independent streams derived from the base
-    seed (seed, seed + 1, seed + 2 for monotonicity, submodularity, and
-    the MC estimate), so their order moves no value.  The MC estimate and
+    seed (seed, seed + 1 and mc_seed(seed) for monotonicity, submodularity
+    and the MC estimate), so their order moves no value.  The MC estimate and
     its target run first, and the property checks then reuse the heap they
     free, so a run whose largest pass is the MC estimate peaks there.  The
     MC design is the full active set, and the
@@ -419,7 +425,7 @@ def verification_run(
     count_at_least(samples, 2, "samples")
     seed = count_at_least(seed, 0, "seed")
     design = p.active
-    est = mc_eig(p, design, samples, seed + 2)
+    est = mc_eig(p, design, samples, mc_seed(seed))
     target = 0.5 * objective.phi_eig(p, design)
     mono = check_monotone(p, trials=trials, seed=seed)
     sub = check_submodular(p, mode="auto", trials=trials, seed=seed + 1)

@@ -159,6 +159,16 @@ def test_no_trial_reads_zero_min_gain():
     assert rep == ss.MonotoneReport(trials=0, violations=0, min_gain=0.0, max_formula_err=0.0)
 
 
+def test_no_trial_forms_no_whitened():
+    """Checks of no trial score no design, so they leave p.whitened unformed."""
+    p = random_problem(np.random.default_rng(7), 30, 40)
+    assert "whitened" not in vars(p)
+    assert ss.check_monotone(p, trials=0) == ss.MonotoneReport(0, 0, 0.0, 0.0)
+    assert (ss.check_submodular(p, mode="random", trials=0)
+            == ss.SubmodularReport("random", 0, 0, 0.0, None))
+    assert "whitened" not in vars(p)
+
+
 def test_reference_phi_matches_phi_eig_on_both_gram_sides():
     """Designs smaller and larger than n, on ill-conditioned instances; a
     design holds positions in p.active, as the checks draw them.
