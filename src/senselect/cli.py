@@ -238,8 +238,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # CapExceededError exits 4; BoundViolationError and the greedy gain
-        # guards of selection exit 5.  Only selection raises any of them.
+        # selection's CapExceededError exits 4, and its BoundViolationError and
+        # greedy gain guards exit 5; no other module of the package raises one
         from .selection import CapExceededError
 
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,11 @@
 """Plain-text problem and report files.
 
-Problem files are whitespace-separated key/value lines with dense
-row-major array blocks, one matrix row per line; '#' starts a comment and
-blank lines are ignored.  Sections appear in a fixed order:
-
-    schema_version 1
-    n <int>
-    n_s <int>
-    M identity            (or: M dense, followed by n rows of n numbers)
-    Gamma_pr identity     (or: Gamma_pr dense, followed by n rows)
-    F dense               (followed by n_s rows of n numbers)
-    sigma                 (followed by one row of n_s numbers)
-    m_pr                  (followed by one row of n numbers)
+Each file is whitespace-separated lines: a key line per field of a table, in
+its order, and the lines its field owns; '#' starts a comment and blank
+lines are ignored.  A problem file is 'schema_version 1', then the fields of
+_PROBLEM: n, n_s, M and Gamma_pr ('identity', or 'dense' and n rows of n
+numbers), F ('dense' and n_s rows of n numbers), sigma and m_pr (a bare key
+line, then one row of n_s or n numbers).  Only regular files are read.
 
 Numbers are written with 17 significant digits, which round-trips every
 double exactly; numtext writes the blocks, with the bytes of one '%.17g'
@@ -41,11 +35,10 @@ timestamp is "unset" unless SOURCE_DATE_EPOCH is present in the
 environment, so identical runs write byte-identical files; wall-clock
 runtime is never serialized.
 
-The report payload classes come from selection and verify, datetime
-formats the timestamp, and numtext writes problem blocks; all four are
-imported on first use, so reading and writing problem files loads neither
-solver nor checks, and a command that writes no problem file loads no
-encoder.
+The report payload classes of selection and verify, datetime and numtext
+are imported on first use, so reading and writing problem files loads
+neither solver nor checks, and a command that writes no problem file loads
+no encoder.
 """
 
 from __future__ import annotations
@@ -182,62 +175,80 @@ def _expect_schema(lines: _Lines) -> None:
         raise ProblemFormatError(f"unsupported schema_version {' '.join(rest)!r}", lineno)
 
 
-def _expect_size(lines: _Lines, key: str) -> int:
+def _load_size(toks, key, lineno, lines, seen) -> int:
     """A positive integer field.  Blocks are filled from checked rows, so the
     bound, the text's length, only names the header line for a size too large."""
-    lineno, rest = _expect_key(lines, key)
-    size = _at_least(1, _one(rest, key, lineno), f"'{key}'", lineno)
+    size = _at_least(1, _one(toks, key, lineno), f"'{key}'", lineno)
     if size > lines.size:
         raise ProblemFormatError(
             f"{key} = {size} exceeds the {lines.size} characters of the file", lineno)
     return size
 
 
-def _read_block(lines: _Lines, key: str, rows: int, cols: int, forms=("identity", "dense")):
-    """A dense block filled from its checked rows, or None for 'identity'.
-
-    The block is made no larger than the text can hold: a row of cols
-    values and its line break take at least 2 cols characters, and the
-    text's last line needs no break, so no parse gets past the rows made."""
-    lineno, rest = _expect_key(lines, key)
-    if len(rest) != 1 or rest[0] not in forms:
-        raise ProblemFormatError(f"'{key}' must be one of {forms}", lineno)
-    if rest[0] == "identity":
-        return None
-    block = np.empty((min(rows, (lines.size + 1) // (2 * cols)), cols))
-    for r in range(1, rows + 1):
-        block[r - 1] = _finite_floats(*lines.next(f"row {r} of {key}"), cols, f"{key} row {r}")
-    return block
+_SIZE = (lambda size: (size, [str(size)], ()), _load_size)
 
 
-def _read_vector(lines: _Lines, key: str, count: int) -> np.ndarray:
-    _expect_key(lines, key)
-    return _finite_floats(*lines.next(f"values of {key}"), count, key)
+def _block(shape, *words):
+    """Codec of a block whose shape names sizes above it: a key line with one
+    of words, or none, then its rows, a vector's values on one line.  Where
+    words allow, a block equal to I (by np.array_equal, so -0.0 counts as 0.0)
+    is written 'identity' and reads back as None.  No more rows are made than
+    the text holds at 2 cols - 1 characters a row and a break between rows."""
+    def dump(A):
+        if "identity" in words and np.array_equal(A, np.eye(len(A))):
+            return None, ["identity"], ()
+        from .numtext import rows
+
+        return A, ["dense"] if words else [], rows(np.atleast_2d(A))
+
+    def load(toks, key, lineno, lines, seen):
+        if toks not in ([[word] for word in words] or [[]]):  # one of words, or a bare key
+            raise ProblemFormatError(
+                f"'{key}' must be one of {words}" if words else f"'{key}' takes no value", lineno)
+        if toks == ["identity"]:
+            return None
+        *rows, cols = (seen[size] for size in shape)
+        if not rows:
+            return _finite_floats(*lines.next(f"values of {key}"), cols, key)
+        block = np.empty((min(rows[0], (lines.size + 1) // (2 * cols)), cols))
+        for r in range(1, rows[0] + 1):
+            block[r - 1] = _finite_floats(*lines.next(f"row {r} of {key}"), cols, f"{key} row {r}")
+        return block
+    return dump, load
 
 
-def _parse_blocks(lines: _Lines) -> tuple:
-    """(M, Gamma_pr, F, sigma, m_pr) of a problem's lines, None for an identity block."""
+# A problem file's fields after schema_version: the key, its codec and the
+# InverseProblem attribute of its value.  A problem codec's dump(value) gives
+# the value as read back, its key line's words and the ASCII chunks below.
+_PROBLEM = (
+    ("n", _SIZE, "n"),
+    ("n_s", _SIZE, "n_s"),
+    ("M", _block(("n", "n"), "identity", "dense"), "space.M"),
+    ("Gamma_pr", _block(("n", "n"), "identity", "dense"), "gamma_pr.rep"),
+    ("F", _block(("n_s", "n"), "dense"), "F"),
+    ("sigma", _block(("n_s",)), "sigma"),
+    ("m_pr", _block(("n",)), "m_pr"),
+)
+_BLOCKS = _PROBLEM[2:]  # the arrays, which the cache stores under their keys
+
+
+def _parse_blocks(lines: _Lines) -> dict:
+    """The _PROBLEM fields of a problem's lines, by attribute; an identity block is None."""
     _expect_schema(lines)
-    n = _expect_size(lines, "n")
-    n_s = _expect_size(lines, "n_s")
-    M = _read_block(lines, "M", n, n)
-    gamma = _read_block(lines, "Gamma_pr", n, n)
-    F = _read_block(lines, "F", n_s, n, forms=("dense",))
-    sigma = _read_vector(lines, "sigma", n_s)
-    m_pr = _read_vector(lines, "m_pr", n)
+    fields = _load_fields(lines, _PROBLEM)
     lines.end()
-    return M, gamma, F, sigma, m_pr
+    return fields
 
 
-def _dense(blocks) -> tuple:
-    """blocks with each identity block made."""
-    eye = np.eye(blocks[-1].size)
-    return tuple(eye if A is None else A for A in blocks)
+def _dense(blocks) -> dict:
+    """The _BLOCKS of blocks, by attribute and in file order, each identity block made."""
+    eye = np.eye(blocks["m_pr"].size)
+    return {attr: eye if blocks[attr] is None else blocks[attr] for _, _, attr in _BLOCKS}
 
 
 def _build(blocks) -> InverseProblem:
-    M, gamma, F, sigma, m_pr = _dense(blocks)
-    return build_problem(WeightedSpace(M), F, sigma, m_pr, gamma)
+    b = _dense(blocks)  # F, sigma and m_pr are named as build_problem names them
+    return build_problem(WeightedSpace(b.pop("space.M")), gamma_pr=b.pop("gamma_pr.rep"), **b)
 
 
 def parse_problem_text(text: str) -> InverseProblem:
@@ -297,7 +308,6 @@ def _parse_text(text: str, parse):
 # cannot be written.
 _CACHE_VERSION = b"senselect problem cache 2\n"
 _CACHE_ENTRIES = 8
-_BLOCK_NAMES = ("M", "Gamma_pr", "F", "sigma", "m_pr")
 
 
 def _cache_path(key: str) -> str | None:
@@ -318,8 +328,7 @@ def _cache_get(key: str) -> InverseProblem | None:
     try:
         # np.load leaks a file it opened itself when the zip is unreadable
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-            blocks = (entry.get("M"), entry.get("Gamma_pr"), entry["F"], entry["sigma"],
-                      entry["m_pr"])
+            blocks = {attr: entry.get(name) for name, _, attr in _BLOCKS}
             stored = str(entry["content_hash"])
         p = _build(blocks)
         if p.content_hash() != stored:
@@ -337,8 +346,8 @@ def _cache_put(key: str, blocks, content_hash: str) -> None:
     path = _cache_path(key)
     if path is None:
         return
-    arrays = {name: np.ascontiguousarray(A) for name, A in zip(_BLOCK_NAMES, blocks)
-              if A is not None}
+    arrays = {name: np.ascontiguousarray(blocks[attr]) for name, _, attr in _BLOCKS
+              if blocks[attr] is not None}
     where = os.path.dirname(path)
     tmp = None
     try:
@@ -380,6 +389,14 @@ def _file_key(fh) -> str:
     return key.hexdigest()
 
 
+def _open_regular(path, buffering=-1):
+    """The file at path, for binary reads, if it is a regular file: a read
+    takes its size first, and a miss reads it twice."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"not a regular file: {os.fsdecode(path)!r}")
+    return open(path, "rb", buffering=buffering)
+
+
 def read_problem(path) -> InverseProblem:
     """The problem in a file, its blocks taken from the cache when these bytes
     were parsed or written before; its content hash is made here, once.
@@ -389,9 +406,8 @@ def read_problem(path) -> InverseProblem:
     not of those first read, in case the file changed in between.  A file is
     stored once it has parsed and built, so a faulty one is refused every time.
     """
-    with open(path, "rb", buffering=_PIECE) as fh:
-        p = _cache_get(_file_key(fh))
-        if p is not None:
+    with _open_regular(path, _PIECE) as fh:
+        if (p := _cache_get(_file_key(fh))) is not None:
             return p
         fh.seek(0)
         key = hashlib.sha256(_CACHE_VERSION)
@@ -401,46 +417,29 @@ def read_problem(path) -> InverseProblem:
     return p
 
 
-def _written_blocks(p: InverseProblem) -> tuple:
-    """The blocks of p as its file reads back: a block equal to I (by
-    np.array_equal, so -0.0 counts as 0.0) takes the identity shorthand."""
-    def shorthand(A):
-        return None if np.array_equal(A, np.eye(A.shape[0])) else A
-    return shorthand(p.space.M), shorthand(p.gamma_pr.rep), p.F, p.sigma, p.m_pr
-
-
-def _problem_lines(blocks):
-    """Canonical serialization of a problem's _written_blocks, in ASCII chunks."""
-    from .numtext import rows
-
-    M, gamma, F, sigma, m_pr = blocks
-    yield f"schema_version {SCHEMA_VERSION}\nn {m_pr.size}\nn_s {sigma.size}\n".encode()
-    for key, A in (("M", M), ("Gamma_pr", gamma)):
-        if A is None:
-            yield f"{key} identity\n".encode()
-        else:
-            yield f"{key} dense\n".encode()
-            yield from rows(A)
-    yield b"F dense\n"
-    yield from rows(F)
-    for key, v in (("sigma", sigma), ("m_pr", m_pr)):
-        yield f"{key}\n".encode()
-        yield from rows(v[None, :])
+def _problem_lines(p: InverseProblem, blocks: dict):
+    """Canonical serialization of p, in ASCII chunks; blocks gets each
+    _PROBLEM field of p, by attribute, as the file reads it back."""
+    yield f"schema_version {SCHEMA_VERSION}\n".encode()
+    for key, (dump, _), attr in _PROBLEM:
+        blocks[attr], words, rows = dump(attrgetter(attr)(p))
+        yield " ".join([key, *words]).encode() + b"\n"
+        yield from rows
 
 
 def problem_text(p: InverseProblem) -> str:
-    return b"".join(_problem_lines(_written_blocks(p))).decode("ascii")
+    return b"".join(_problem_lines(p, {})).decode("ascii")
 
 
 def write_problem(p: InverseProblem, path) -> None:
     """Write p's file and cache its blocks, with their hash as read back, under its bytes."""
-    blocks = _written_blocks(p)
+    blocks = {}
     key = hashlib.sha256(_CACHE_VERSION)  # the cache key of the bytes, as they are written
     with open(path, "wb") as fh:
-        for data in _problem_lines(blocks):
+        for data in _problem_lines(p, blocks):
             key.update(data)
             fh.write(data)
-    _cache_put(key.hexdigest(), blocks, content_digest(*_dense(blocks)))
+    _cache_put(key.hexdigest(), blocks, content_digest(*_dense(blocks).values()))
 
 
 def default_timestamp() -> str:
@@ -718,5 +717,5 @@ def parse_report_text(text: str) -> ReportFile:
 
 
 def read_report(path) -> ReportFile:
-    with open(path, "rb") as fh:
+    with _open_regular(path) as fh:
         return _parse_file(fh, os.fstat(fh.fileno()).st_size, _parse_report)

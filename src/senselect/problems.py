@@ -91,8 +91,6 @@ def gen_random(spec: ProblemSpec) -> InverseProblem:
     C = _random_spd(rng, spec.n, spec.conditioning)
     gamma_pr = Operator(space, space.solve(C))
     F = rng.standard_normal((spec.n_s, spec.n))
-    if not np.all(np.any(F != 0.0, axis=1)):
-        raise RuntimeError("degenerate draw produced a zero forward-map row")
     sigma = np.exp(rng.uniform(math.log(0.5), math.log(2.0), spec.n_s))
     m_pr = rng.standard_normal(spec.n)
     return build_problem(space, F, sigma, m_pr, gamma_pr)

@@ -5,8 +5,11 @@ the package's incremental code paths, so a defect cannot hide on both
 sides of a comparison.
 """
 
+import os
 import shutil
 import tempfile
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,6 +40,26 @@ def _private_cache_home(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+@contextmanager
+def piped(data: bytes):
+    """The path of the read end of a pipe that a thread fills with data, then closes.
+
+    data fits the pipe's buffer, so the writer ends whether or not it is read."""
+    r, w = os.pipe()
+
+    def fill():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert not writer.is_alive()
 
 
 def maxabs(a) -> float:

@@ -7,7 +7,7 @@ import senselect as ss
 from senselect import fileio, model
 from senselect.cli import main
 
-from conftest import three_sensor_problem
+from conftest import piped, three_sensor_problem
 
 IDENTITY_2 = """\
 schema_version 1
@@ -142,6 +142,12 @@ def test_eval_non_ascii_byte_exits_2(tmp_path, capsys):
 def test_eval_directory_exits_2(tmp_path, capsys):
     assert main(["eval", str(tmp_path), "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_pipe_exits_2(capsys):
+    with piped(IDENTITY_2.encode("ascii")) as pipe:
+        assert main(["eval", pipe, "1"]) == 2
+    assert capsys.readouterr().err == f"error: not a regular file: '{pipe}'\n"
 
 
 def test_eval_bad_subset_token_exits_2(identity_file, capsys):

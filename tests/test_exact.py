@@ -22,7 +22,10 @@ K_BUDGET = 3
 @pytest.fixture(scope="module", params=[
     ss.ProblemSpec("chain", n=20, n_s=10, seed=7),  # README's chain
     ss.ProblemSpec("random", n=12, n_s=9, seed=5),
-], ids=["readme-chain", "random-12x9"])
+    ss.ProblemSpec("chain", n=60, n_s=20, seed=0),  # mirror designs tie in the last bits
+    ss.ProblemSpec("chain", n=40, n_s=16, seed=0,
+                   sensor_nodes=(3, 3, 5, 8, 8, 8, 12, 15, 20, 20, 22, 25, 30, 30, 34, 36)),
+], ids=["readme-chain", "random-12x9", "chain-60x20", "duplicated-nodes-40x16"])
 def case(request):
     p = ss.generate(request.param)
     return p, exact.kernel(p)

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import senselect as ss
 from senselect import fileio, model, numtext
 
-from conftest import identity_problem, random_problem, report_fields, three_sensor_problem
+from conftest import (identity_problem, piped, random_problem, report_fields,
+                      three_sensor_problem)
 
 GOOD = """\
 schema_version 1
@@ -252,6 +253,24 @@ def test_parse_error_forward_map_never_identity():
     bad = bad.replace("n_s 3", "n_s 2").replace("sigma\n1 1 1", "sigma\n1 1")
     with pytest.raises(fileio.ProblemFormatError):
         fileio.parse_problem_text(bad)
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("sigma", "sigma 9 9 junk", "'sigma' takes no value"),
+    ("m_pr", "m_pr whatever", "'m_pr' takes no value"),
+    ("M identity", "M dense extra", "'M' must be one of ('identity', 'dense')"),
+], ids=["sigma", "m_pr", "M"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["text", "file"])
+def test_a_key_line_carries_only_its_words(tmp_path, line, bad, message, from_file):
+    rows = GOOD.splitlines()
+    lineno = rows.index(line) + 1
+    rows[lineno - 1] = bad
+    text = "\n".join(rows) + "\n"
+    path = tmp_path / "bad.prob"
+    path.write_text(text)
+    with pytest.raises(fileio.ProblemFormatError) as exc:
+        fileio.read_problem(path) if from_file else fileio.parse_problem_text(text)
+    assert str(exc.value) == f"line {lineno}: {message}"
 
 
 def test_parse_error_nonpositive_dimension():
@@ -677,6 +696,26 @@ def test_malformed_file_is_never_stored(cache, tmp_path):
             fileio.read_problem(path)
         assert exc.value.line == 8 and "not a number: 'x'" in str(exc.value)
         assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("read, cached", [(fileio.read_problem, False),
+                                          (fileio.read_problem, True),
+                                          (fileio.read_report, False)],
+                         ids=["problem-miss", "problem-hit", "report"])
+def test_a_pipe_is_refused_before_it_is_read(cache, tmp_path, read, cached):
+    """One error, naming the path, whether or not the cache holds the problem."""
+    path = tmp_path / "file.txt"
+    if read is fileio.read_report:
+        path.write_text(_selection_text())
+    elif cached:
+        fileio.write_problem(three_sensor_problem(), path)
+    else:
+        path.write_text(GOOD)
+    assert entry_of(cache, path).is_file() == cached
+    with piped(path.read_bytes()) as pipe:
+        with pytest.raises(OSError) as exc:
+            read(pipe)
+    assert str(exc.value) == f"not a regular file: '{pipe}'"
 
 
 def _signed_zero_problem():
