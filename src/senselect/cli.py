@@ -148,24 +148,28 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# kind -> the gen flags only that kind reads, by ProblemSpec field; a flag
+# left out is None, and its field keeps ProblemSpec's default
+_GEN_FLAGS = {
+    "random": ("conditioning",),
+    "chain": ("diffusivity", "element_size", "prior_weight", "sensor_nodes"),
+}
+
+
 def cmd_gen(args) -> int:
     from . import problems
 
-    nodes = None
+    given = {name: getattr(args, name) for names in _GEN_FLAGS.values() for name in names
+             if getattr(args, name) is not None}
+    unread = [name for name in given if name not in _GEN_FLAGS[args.kind]]
+    if unread:
+        print(f"error: --{unread[0].replace('_', '-')} is not read by --kind {args.kind}",
+              file=sys.stderr)
+        return 2
     if args.sensor_nodes is not None:
-        nodes = tuple(fileio._int(t.strip(), "--sensor-nodes")
-                      for t in args.sensor_nodes.split(",") if t.strip())
-    spec = problems.ProblemSpec(
-        kind=args.kind,
-        n=args.n,
-        n_s=args.n_s,
-        seed=args.seed,
-        conditioning=args.conditioning,
-        diffusivity=args.diffusivity,
-        element_size=args.element_size,
-        prior_weight=args.prior_weight,
-        sensor_nodes=nodes,
-    )
+        given["sensor_nodes"] = tuple(fileio._int(t.strip(), "--sensor-nodes")
+                                      for t in args.sensor_nodes.split(",") if t.strip())
+    spec = problems.ProblemSpec(kind=args.kind, n=args.n, n_s=args.n_s, seed=args.seed, **given)
     p = problems.generate(spec)
     fileio.write_problem(p, args.out)
     print(f"wrote {args.out} (kind={spec.kind} n={p.n} n_s={p.n_s} seed={spec.seed})")
@@ -219,11 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--n", type=int, required=True)
     pn.add_argument("--n-s", dest="n_s", type=int, required=True)
     pn.add_argument("--seed", type=int, default=0)
-    pn.add_argument("--conditioning", type=float, default=50.0)
-    pn.add_argument("--diffusivity", type=float, default=1.0)
-    pn.add_argument("--element-size", dest="element_size", type=float, default=None)
-    pn.add_argument("--prior-weight", dest="prior_weight", type=float, default=0.1)
-    pn.add_argument("--sensor-nodes", dest="sensor_nodes", default=None,
+    pn.add_argument("--conditioning", type=float, help="random problems (default 50)")
+    pn.add_argument("--diffusivity", type=float, help="chain problems (default 1)")
+    pn.add_argument("--element-size", dest="element_size", type=float,
+                    help="chain problems (default 1 / (n - 1))")
+    pn.add_argument("--prior-weight", dest="prior_weight", type=float,
+                    help="chain problems (default 0.1)")
+    pn.add_argument("--sensor-nodes", dest="sensor_nodes",
                     help="comma-separated interior nodes for chain problems")
     pn.add_argument("--out", required=True)
     pn.set_defaults(func=cmd_gen)

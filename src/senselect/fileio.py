@@ -9,8 +9,9 @@ line, then one row of n_s or n numbers).  Only regular files are read.
 
 Numbers are written with 17 significant digits, which round-trips every
 double exactly; numtext writes the blocks, with the bytes of one '%.17g'
-per value.  Sensor indices are 1-based in files (and in the CLI); the
-library is 0-based internally.
+per value, and only a block that is bitwise I is written 'identity', so a
+problem file reads back as the very arrays written.  Sensor indices are
+1-based in files (and in the CLI); the library is 0-based internally.
 
 Every problem and report, a file's or a text's UTF-8 bytes, is read one
 "\n"-terminated line at a time and parsed as it is read, so a reader holds
@@ -18,16 +19,16 @@ one "\n" line of it, and the whole text only where it has no "\n".  Each
 "\n" line is checked for ASCII and split as str.splitlines splits it; a
 "\r\n" never spans two "\n" lines, so lines break where str.splitlines
 breaks the whole text, and a line number is the same whichever fault it
-names.  Nothing is allocated from n or n_s beyond what the file can hold:
-a dense block is filled from checked rows, and an identity block is made
-once the last line is checked.
+names.  A dense block is made no larger than the file's characters can fill,
+from checked rows; an identity block is n x n whatever the file's length,
+made once the last line is checked.
 
-Parsing 17-digit text is the slow part of reading a problem, so parsed
-blocks are cached under the SHA-256 of the file's bytes: write_problem
-stores the blocks of the file it writes, read_problem those of each file it
-parses.  read_problem hashes the file first; a miss then reads it again to
-parse it.  A hit builds the problem as a parse does, and is used if it has the
-stored content hash, so a file reads as one problem, with one error, either way.
+Parsing 17-digit text is the slow part of reading a problem, so problems
+are cached under the SHA-256 of the file's bytes: write_problem stores the
+problem it writes, read_problem each problem it parses.  read_problem hashes
+the file first; a miss then reads it again to parse it.  A hit builds the
+problem as a parse does, and is used if it has the stored content hash, so a
+file reads as one problem, with one error, either way.
 
 Report files carry the same header lines (schema_version, report kind,
 tool_version, problem_hash, timestamp) followed by the payload.  The
@@ -60,7 +61,7 @@ import numpy as np
 from numpy.lib import format as npy
 
 from . import __version__ as TOOL_VERSION
-from .model import Design, InverseProblem, build_problem, content_digest, count_at_least
+from .model import Design, InverseProblem, build_problem, count_at_least
 from .wspace import WeightedSpace
 
 if TYPE_CHECKING:
@@ -185,21 +186,22 @@ def _load_size(toks, key, lineno, lines, seen) -> int:
     return size
 
 
-_SIZE = (lambda size: (size, [str(size)], ()), _load_size)
+_SIZE = (lambda size: ([str(size)], ()), _load_size)
 
 
 def _block(shape, *words):
     """Codec of a block whose shape names sizes above it: a key line with one
     of words, or none, then its rows, a vector's values on one line.  Where
-    words allow, a block equal to I (by np.array_equal, so -0.0 counts as 0.0)
-    is written 'identity' and reads back as None.  No more rows are made than
-    the text holds at 2 cols - 1 characters a row and a break between rows."""
+    words allow, a block that is bitwise I (equal to I, with no -0.0) is
+    written 'identity', and reads back as None; any other is written with
+    its exact values.  No more rows are made than the text holds at
+    2 cols - 1 characters a row and a break between rows."""
     def dump(A):
-        if "identity" in words and np.array_equal(A, np.eye(len(A))):
-            return None, ["identity"], ()
+        if "identity" in words and np.array_equal(A, np.eye(len(A))) and not np.signbit(A).any():
+            return ["identity"], ()
         from .numtext import rows
 
-        return A, ["dense"] if words else [], rows(np.atleast_2d(A))
+        return ["dense"] if words else [], rows(np.atleast_2d(A))
 
     def load(toks, key, lineno, lines, seen):
         if toks not in ([[word] for word in words] or [[]]):  # one of words, or a bare key
@@ -219,7 +221,7 @@ def _block(shape, *words):
 
 # A problem file's fields after schema_version: the key, its codec and the
 # InverseProblem attribute of its value.  A problem codec's dump(value) gives
-# the value as read back, its key line's words and the ASCII chunks below.
+# its key line's words and the ASCII chunks below.
 _PROBLEM = (
     ("n", _SIZE, "n"),
     ("n_s", _SIZE, "n_s"),
@@ -240,14 +242,11 @@ def _parse_blocks(lines: _Lines) -> dict:
     return fields
 
 
-def _dense(blocks) -> dict:
-    """The _BLOCKS of blocks, by attribute and in file order, each identity block made."""
-    eye = np.eye(blocks["m_pr"].size)
-    return {attr: eye if blocks[attr] is None else blocks[attr] for _, _, attr in _BLOCKS}
-
-
 def _build(blocks) -> InverseProblem:
-    b = _dense(blocks)  # F, sigma and m_pr are named as build_problem names them
+    """The problem of the _BLOCKS of blocks, by attribute, each identity block made."""
+    eye = np.eye(blocks["m_pr"].size)
+    # F, sigma and m_pr are named as build_problem names them
+    b = {attr: eye if blocks[attr] is None else blocks[attr] for _, _, attr in _BLOCKS}
     return build_problem(WeightedSpace(b.pop("space.M")), gamma_pr=b.pop("gamma_pr.rep"), **b)
 
 
@@ -298,15 +297,15 @@ def _parse_text(text: str, parse):
     return _parse_file(io.BytesIO(data), len(data), parse)
 
 
-# The cache of parsed blocks.  An entry is keyed by the bytes of the file it
-# was parsed from, as the SHA-256 of _CACHE_VERSION and then those bytes, so
-# bump _CACHE_VERSION whenever the parse rules or the entries change.  An
-# uncompressed .npz holds each block under its section name, an identity block
-# by its absence, and the content_hash of the problem the file reads back as,
+# The cache of problems.  An entry is keyed by the bytes of the file it was
+# parsed from or written as, as the SHA-256 of _CACHE_VERSION and then those
+# bytes, so bump _CACHE_VERSION whenever the parse rules or the entries
+# change.  An uncompressed .npz holds each block of the problem, as the
+# problem holds it, under its section name, and the problem's content_hash,
 # its reports' problem_hash, as "content_hash".  The cache keeps the
 # _CACHE_ENTRIES most recently used entries, and is skipped silently where it
 # cannot be written.
-_CACHE_VERSION = b"senselect problem cache 2\n"
+_CACHE_VERSION = b"senselect problem cache 3\n"
 _CACHE_ENTRIES = 8
 
 
@@ -328,7 +327,7 @@ def _cache_get(key: str) -> InverseProblem | None:
     try:
         # np.load leaks a file it opened itself when the zip is unreadable
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-            blocks = {attr: entry.get(name) for name, _, attr in _BLOCKS}
+            blocks = {attr: entry[name] for name, _, attr in _BLOCKS}
             stored = str(entry["content_hash"])
         p = _build(blocks)
         if p.content_hash() != stored:
@@ -340,14 +339,13 @@ def _cache_get(key: str) -> InverseProblem | None:
     return p
 
 
-def _cache_put(key: str, blocks, content_hash: str) -> None:
-    """Store blocks and their problem's content_hash under key, then evict the
-    least recently used entries beyond _CACHE_ENTRIES.  An unwritable cache is skipped."""
+def _cache_put(key: str, p: InverseProblem) -> None:
+    """Store p's blocks and content_hash under key, then evict the least
+    recently used entries beyond _CACHE_ENTRIES.  An unwritable cache is skipped."""
     path = _cache_path(key)
     if path is None:
         return
-    arrays = {name: np.ascontiguousarray(blocks[attr]) for name, _, attr in _BLOCKS
-              if blocks[attr] is not None}
+    arrays = {name: np.ascontiguousarray(attrgetter(attr)(p)) for name, _, attr in _BLOCKS}
     where = os.path.dirname(path)
     tmp = None
     try:
@@ -356,7 +354,7 @@ def _cache_put(key: str, blocks, content_hash: str) -> None:
         # the members np.savez writes, each written from its array in place,
         # where savez copies an array in pieces of up to 16 MiB
         with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as entry:
-            for name, A in (("content_hash", np.array(content_hash)), *arrays.items()):
+            for name, A in (("content_hash", np.array(p.content_hash())), *arrays.items()):
                 with entry.open(name + ".npy", "w", force_zip64=True) as member:
                     npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(A))
                     member.write(A.data)
@@ -413,33 +411,31 @@ def read_problem(path) -> InverseProblem:
         key = hashlib.sha256(_CACHE_VERSION)
         blocks = _parse_file(fh, os.fstat(fh.fileno()).st_size, _parse_blocks, key)
     p = _build(blocks)
-    _cache_put(key.hexdigest(), blocks, p.content_hash())
+    _cache_put(key.hexdigest(), p)
     return p
 
 
-def _problem_lines(p: InverseProblem, blocks: dict):
-    """Canonical serialization of p, in ASCII chunks; blocks gets each
-    _PROBLEM field of p, by attribute, as the file reads it back."""
+def _problem_lines(p: InverseProblem):
+    """Canonical serialization of p, in ASCII chunks, which read back as p."""
     yield f"schema_version {SCHEMA_VERSION}\n".encode()
     for key, (dump, _), attr in _PROBLEM:
-        blocks[attr], words, rows = dump(attrgetter(attr)(p))
+        words, rows = dump(attrgetter(attr)(p))
         yield " ".join([key, *words]).encode() + b"\n"
         yield from rows
 
 
 def problem_text(p: InverseProblem) -> str:
-    return b"".join(_problem_lines(p, {})).decode("ascii")
+    return b"".join(_problem_lines(p)).decode("ascii")
 
 
 def write_problem(p: InverseProblem, path) -> None:
-    """Write p's file and cache its blocks, with their hash as read back, under its bytes."""
-    blocks = {}
+    """Write p's file and cache p under its bytes."""
     key = hashlib.sha256(_CACHE_VERSION)  # the cache key of the bytes, as they are written
     with open(path, "wb") as fh:
-        for data in _problem_lines(p, blocks):
+        for data in _problem_lines(p):
             key.update(data)
             fh.write(data)
-    _cache_put(key.hexdigest(), blocks, content_digest(*_dense(blocks).values()))
+    _cache_put(key.hexdigest(), p)
 
 
 def default_timestamp() -> str:

@@ -31,7 +31,8 @@ class ProblemSpec:
     the forward operator, the element size h (None means 1 / (n - 1), a
     unit domain), and the prior correlation weight on the stiffness term.
     sensor_nodes optionally pins the chain's interior observation nodes;
-    repeats are allowed and produce duplicated sensors.
+    repeats are allowed and produce duplicated sensors.  A seed below 0 is
+    refused for either kind, although a chain draws nothing.
     """
 
     kind: str
@@ -43,6 +44,10 @@ class ProblemSpec:
     element_size: float | None = None
     prior_weight: float = 0.1
     sensor_nodes: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 def generate(spec: ProblemSpec) -> InverseProblem:
@@ -80,8 +85,6 @@ def gen_random(spec: ProblemSpec) -> InverseProblem:
     """
     if spec.n < 1 or spec.n_s < 1:
         raise ValueError("need n >= 1 and n_s >= 1")
-    if spec.seed < 0:
-        raise ValueError(f"seed must be at least 0, got {spec.seed}")
     _require_finite(spec, "conditioning")
     if spec.conditioning < 1.0:
         raise ValueError("conditioning must be at least 1")

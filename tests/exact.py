@@ -8,7 +8,8 @@ is rational in them, and so is det(I + K_SS) for every design S; by
 Sylvester's identity phi(S) = log det(I + Gamma_pr H(S)) is its logarithm.
 kernel forms K over the positions of p.active with one fraction-free
 (Bareiss) elimination of M, and det takes the determinant of a rational
-matrix the same way.  Only the final log rounds, to within a few ulps.
+matrix the same way, and inverse its inverse by Gauss-Jordan elimination.
+Only the final log rounds, to within a few ulps.
 """
 
 import math
@@ -23,29 +24,53 @@ def _integers(rows):
 
 
 def _eliminate(a, pivots):
-    """Bareiss elimination of the first pivots columns of the integer rows a, in place.
+    """Bareiss elimination of the first pivots columns of the integer rows a,
+    in place; the sign of the row permutation it made, or 0 for a singular block.
 
-    Every entry stays an integer (a minor of a), and a[pivots - 1][pivots - 1]
-    ends as the determinant of the leading pivots x pivots block.  No pivot
-    search: the matrices here have positive leading minors.
+    Every entry stays an integer (a minor of the rows as permuted), and
+    a[pivots - 1][pivots - 1] ends as that sign times the determinant of the
+    leading pivots x pivots block.  A zero pivot is swapped for the first
+    nonzero entry below it in its column.
     """
-    prev = 1
+    prev, sign = 1, 1
     for k in range(pivots):
+        swap = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap], sign = a[swap], a[k], -sign
         piv = a[k][k]
-        assert piv != 0, "zero leading minor"
         for i in range(k + 1, len(a)):
             f = a[i][k]
             a[i] = [(piv * x - f * y) // prev if j > k else 0
                     for j, (x, y) in enumerate(zip(a[i], a[k]))]
         prev = piv
-    return a
+    return sign
 
 
 def det(rows) -> Fraction:
     """Determinant of a nonempty square matrix of rationals."""
     a, scale = _integers(rows)
     k = len(a)
-    return Fraction(_eliminate(a, k)[k - 1][k - 1], scale ** k)
+    return Fraction(_eliminate(a, k) * a[k - 1][k - 1], scale ** k)
+
+
+def inverse(rows) -> list:
+    """Inverse of a nonsingular square matrix of rationals, as rows of
+    Fractions, by Gauss-Jordan elimination on the first nonzero pivot of
+    each column."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)  # none: the matrix is singular
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
 
 
 def kernel(p):
@@ -54,7 +79,8 @@ def kernel(p):
     f = [p.F[i].tolist() for i in act]
     m_int, m_scale = _integers(p.space.M.tolist())
     ft_int, ft_scale = _integers([list(col) for col in zip(*f)])  # F', n x m
-    a = _eliminate([row + rhs for row, rhs in zip(m_int, ft_int)], n)
+    a = [row + rhs for row, rhs in zip(m_int, ft_int)]
+    assert _eliminate(a, n) == 1  # M's leading minors are positive: no row is swapped
     d = a[n - 1][n - 1]
     # back substitution: y = d M_int^-1 F'_int is an integer matrix (Cramer)
     y = [None] * n

@@ -250,7 +250,6 @@ def test_each_command_digests_its_problem_once(tmp_path, capsys, monkeypatch, ar
         calls.append(arrays)
         return digest(*arrays)
     monkeypatch.setattr(model, "content_digest", counted)
-    monkeypatch.setattr(fileio, "content_digest", counted)
     assert main([a.format(p=path, r=tmp_path / "out.txt") for a in argv]) == 0
     assert len(calls) == 1
 
@@ -395,14 +394,47 @@ def test_gen_chain_without_sensors_exits_3(tmp_path, capsys, extra):
 
 
 def test_gen_negative_seed(tmp_path, capsys):
-    """A random problem refuses it by name; a chain ignores its seed."""
+    """Either kind refuses it by name, with exit 3, though a chain draws nothing."""
     out = tmp_path / "x.prob"
-    args = ["--n", "5", "--n-s", "2", "--seed", "-1", "--out", str(out)]
-    assert main(["gen", "--kind", "random", *args]) == 3
-    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    for seed in ("-1", "-5"):
+        args = ["--n", "5", "--n-s", "2", "--seed", seed, "--out", str(out)]
+        for kind in ("random", "chain"):
+            assert main(["gen", "--kind", kind, *args]) == 3
+            assert f"error: seed must be at least 0, got {seed}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("random", "--sensor-nodes", "3,3,5"),
+    ("random", "--diffusivity", "-1"),
+    ("random", "--element-size", "0.5"),
+    ("random", "--prior-weight", "0.2"),
+    ("chain", "--conditioning", "10"),
+])
+def test_gen_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys, kind, flag, value):
+    """The flag was once accepted and silently ignored; now it exits 2, naming
+    the flag and the kind, before anything is generated or written."""
+    out = tmp_path / "x.prob"
+    code = main(["gen", "--kind", kind, "--n", "5", "--n-s", "3", flag, value,
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: {flag} is not read by --kind {kind}" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["gen", "--kind", "chain", *args]) == 0
-    assert fileio.read_problem(out).n_s == 2
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("random", []), ("random", ["--conditioning", "50"]),
+    ("chain", []), ("chain", ["--diffusivity", "1", "--prior-weight", "0.1"]),
+])
+def test_gen_default_flags_are_the_spec_defaults(tmp_path, capsys, kind, flags):
+    """A flag left out takes ProblemSpec's default, so giving the default
+    writes the same bytes as leaving it out."""
+    base = ["gen", "--kind", kind, "--n", "6", "--n-s", "4", "--seed", "2"]
+    assert main([*base, "--out", str(tmp_path / "a.prob")]) == 0
+    assert main([*base, *flags, "--out", str(tmp_path / "b.prob")]) == 0
+    spec = ss.ProblemSpec(kind, n=6, n_s=4, seed=2)
+    assert (tmp_path / "a.prob").read_text() == fileio.problem_text(ss.generate(spec))
+    assert (tmp_path / "a.prob").read_bytes() == (tmp_path / "b.prob").read_bytes()
 
 
 def test_gen_out_directory_exits_2(tmp_path, capsys):

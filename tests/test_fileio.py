@@ -50,6 +50,18 @@ def test_problem_text_uses_identity_shorthand():
     assert "F dense" in text
 
 
+def test_only_a_bitwise_identity_is_written_identity():
+    """A block equal to I that holds a -0.0 is written dense, and reads back
+    with its -0.0: the file keeps every bit of the problem."""
+    p = _signed_zero_problem()
+    text = fileio.problem_text(p)
+    assert "M dense\n1 -0 0\n-0 1 0\n0 0 1\n" in text
+    assert "Gamma_pr identity\n" in text
+    q = fileio.parse_problem_text(text)
+    assert q.space.M.tobytes() == p.space.M.tobytes()
+    assert q.content_hash() == p.content_hash()
+
+
 def test_problem_text_dense_weight():
     rng = np.random.default_rng(91)
     p = random_problem(rng, 3, 2)
@@ -81,7 +93,7 @@ def per_value_problem_text(p) -> str:
         return " ".join(format(float(x), ".17g") for x in values) + "\n"
     out = [f"schema_version 1\nn {p.n}\nn_s {p.n_s}\n"]
     for key, A in (("M", p.space.M), ("Gamma_pr", p.gamma_pr.rep)):
-        if np.array_equal(A, np.eye(p.n)):
+        if A.tobytes() == np.eye(p.n).tobytes():  # bitwise I
             out.append(f"{key} identity\n")
         else:
             out += [f"{key} dense\n", *map(row, A)]
@@ -746,13 +758,15 @@ def _adversarial_problem():
 @pytest.mark.parametrize("seed_by", ["write", "read"])
 def test_hit_is_bitwise_the_parse(cache, parses, tmp_path, make, seed_by):
     """A hit builds from the very arrays the parse gives, whether write_problem
-    or a first read_problem stored them."""
+    or a first read_problem, a miss, stored them; each reads back as the
+    problem written, with its content hash."""
     path = tmp_path / "p.prob"
+    written = make()
     if seed_by == "write":
-        fileio.write_problem(make(), path)
+        fileio.write_problem(written, path)
     else:
-        path.write_text(fileio.problem_text(make()))
-        fileio.read_problem(path)
+        path.write_text(fileio.problem_text(written))
+        assert fileio.read_problem(path).content_hash() == written.content_hash()
     stored = parses[0]
     hit = fileio.read_problem(path)
     assert parses[0] == stored
@@ -761,7 +775,7 @@ def test_hit_is_bitwise_the_parse(cache, parses, tmp_path, make, seed_by):
                  (hit.F, parsed.F), (hit.sigma, parsed.sigma), (hit.m_pr, parsed.m_pr)):
         # strides too: BLAS may round differently on a transposed layout
         assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
-    assert hit.content_hash() == parsed.content_hash()
+    assert hit.content_hash() == parsed.content_hash() == written.content_hash()
     # the entry holds the problem_hash of the file's reports
     with np.load(entry_of(cache, path), allow_pickle=False) as entry:
         assert str(entry["content_hash"]) == fileio.read_problem(path).content_hash()

@@ -156,3 +156,25 @@ def test_problem_spec_is_frozen():
     spec = ss.ProblemSpec("random", n=3, n_s=2, seed=0)
     with pytest.raises(Exception):
         spec.n = 4
+
+
+def test_chain_refinement_converges_at_second_order():
+    """Nested meshes of the unit domain, n - 1 = 20 * 2^j for j = 0, ..., 5,
+    each with 19 sensors at x = 0.05, ..., 0.95.  Piecewise-linear elements
+    converge at O(h^2), so successive differences of phi(all sensors) fall
+    in a ratio that tends to 4 as h halves: |4 - ratio| itself shrinks from
+    level to level.  Greedy with k = 4 picks the same physical points at
+    every level, the two sensors at each end; the mirror x -> 1 - x maps that
+    set to itself, so no tie decides it."""
+    xs = [0.05 * i for i in range(1, 20)]
+    phis = []
+    for j in range(6):
+        n = 20 * 2 ** j + 1
+        nodes = tuple(round(x * (n - 1)) for x in xs)
+        p = ss.generate(ss.ProblemSpec("chain", n=n, n_s=len(xs), seed=0, sensor_nodes=nodes))
+        phis.append(ss.phi_eig(p, range(len(xs))))
+        assert sorted(xs[i] for i in ss.greedy(p, 4).chosen) == [xs[0], xs[1], xs[-2], xs[-1]]
+    diffs = np.diff(phis)
+    assert np.all(diffs > 0)
+    off = np.abs(4.0 - diffs[:-1] / diffs[1:])
+    assert np.all(off[1:] < off[:-1]), off

@@ -122,11 +122,20 @@ def test_reference_phi_maps_sensors_to_whitened_columns(p, data):
 
 
 @PROPERTY
-@given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
-def test_problem_text_round_trip(n, n_s, weighted, seed):
-    """Unweighted problems exercise the identity shorthand for M.  The hash
-    check makes the text carry every double exactly, not just consistently."""
+@given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+def test_problem_text_round_trip(n, n_s, weighted, seed, signed_zeros):
+    """Unweighted problems exercise the identity shorthand for M, and a -0.0
+    at each pair (i, j) of signed_zeros off the diagonal gives an M equal to
+    I that is not bitwise I.  The hash check makes the text carry every
+    double exactly, not just consistently."""
     p = random_problem(np.random.default_rng(seed), n, n_s, weighted=weighted)
+    if not weighted:
+        M = np.eye(n)
+        for i, j in signed_zeros:
+            if i != j and max(i, j) < n:
+                M[i, j] = M[j, i] = -0.0
+        p = ss.build_problem(ss.WeightedSpace(M), p.F, p.sigma, p.m_pr, p.gamma_pr.rep)
     text = fileio.problem_text(p)
     q = fileio.parse_problem_text(text)
     assert fileio.problem_text(q) == text
