@@ -6,6 +6,7 @@ for parse errors (non-finite problem data and non-ASCII bytes included)
 and for files that cannot be read or written, 3 for invariant
 violations, 4 when an enumeration cap is exceeded, and 5 for property
 violations, including a greedy gain that is not positive or that rises.
+Running out of memory exits 2, with one error line.
 
 Each command imports the modules it runs when it runs, so gen and eval
 load neither the solvers nor the checks.
@@ -14,6 +15,7 @@ load neither the solvers nor the checks.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import fileio
@@ -243,6 +245,10 @@ def main(argv=None) -> int:
     except (fileio.ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one names nothing
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         # selection's CapExceededError exits 4, and its BoundViolationError and
         # greedy gain guards exit 5; no other module of the package raises one
@@ -256,5 +262,16 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """main, for a process that exits once it returns: the `senselect`
+    script and `python -m senselect`.  gc.freeze() then moves every object
+    to the permanent generation, which the interpreter's exit does not
+    sweep; main itself freezes nothing, so a caller that goes on still has
+    its garbage collected."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

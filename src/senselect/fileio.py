@@ -28,7 +28,8 @@ are cached under the SHA-256 of the file's bytes: write_problem stores the
 problem it writes, read_problem each problem it parses.  read_problem hashes
 the file first; a miss then reads it again to parse it.  A hit builds the
 problem as a parse does, and is used if it has the stored content hash, so a
-file reads as one problem, with one error, either way.
+file reads as one problem, with one error, either way; a prior that only
+its square root's checks refuse is stored, and refused at the root's first read.
 
 Report files carry the same header lines (schema_version, report kind,
 tool_version, problem_hash, timestamp) followed by the payload.  The
@@ -189,15 +190,20 @@ def _load_size(toks, key, lineno, lines, seen) -> int:
 _SIZE = (lambda size: ([str(size)], ()), _load_size)
 
 
+def _is_identity(A: np.ndarray) -> bool:
+    """Whether A is bitwise I: a diagonal of 1.0, no other nonzero bits (so no -0.0)."""
+    return bool((A.diagonal() == 1.0).all()) and np.count_nonzero(A.view(np.int64)) == len(A)
+
+
 def _block(shape, *words):
     """Codec of a block whose shape names sizes above it: a key line with one
     of words, or none, then its rows, a vector's values on one line.  Where
-    words allow, a block that is bitwise I (equal to I, with no -0.0) is
-    written 'identity', and reads back as None; any other is written with
-    its exact values.  No more rows are made than the text holds at
-    2 cols - 1 characters a row and a break between rows."""
+    words allow, a block that is bitwise I is written 'identity', and reads
+    back as None; any other is written with its exact values.  No more rows
+    are made than the text holds at 2 cols - 1 characters a row and a break
+    between rows."""
     def dump(A):
-        if "identity" in words and np.array_equal(A, np.eye(len(A))) and not np.signbit(A).any():
+        if "identity" in words and _is_identity(A):
             return ["identity"], ()
         from .numtext import rows
 
@@ -243,10 +249,10 @@ def _parse_blocks(lines: _Lines) -> dict:
 
 
 def _build(blocks) -> InverseProblem:
-    """The problem of the _BLOCKS of blocks, by attribute, each identity block made."""
-    eye = np.eye(blocks["m_pr"].size)
+    """The problem of the _BLOCKS of blocks, by attribute, an I made for each identity block."""
+    n = blocks["m_pr"].size
     # F, sigma and m_pr are named as build_problem names them
-    b = {attr: eye if blocks[attr] is None else blocks[attr] for _, _, attr in _BLOCKS}
+    b = {attr: np.eye(n) if blocks[attr] is None else blocks[attr] for _, _, attr in _BLOCKS}
     return build_problem(WeightedSpace(b.pop("space.M")), gamma_pr=b.pop("gamma_pr.rep"), **b)
 
 
@@ -402,7 +408,8 @@ def read_problem(path) -> InverseProblem:
     A hit reads the file once, to hash it.  A miss reads it again, one line
     at a time, and stores the blocks under the hash of the bytes it parsed,
     not of those first read, in case the file changed in between.  A file is
-    stored once it has parsed and built, so a faulty one is refused every time.
+    stored once it has parsed and built, so one that fails either is refused
+    every time; the prior's square root is checked later, at its first read.
     """
     with _open_regular(path, _PIECE) as fh:
         if (p := _cache_get(_file_key(fh))) is not None:

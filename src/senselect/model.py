@@ -38,10 +38,12 @@ SQRT_CONSISTENCY_TOL = 1e-9
 class InverseProblem:
     """Immutable bundle of the problem data and derived per-sensor vectors.
 
-    Use build_problem to construct; the constructor validates every
-    invariant (every array finite, noise levels positive, prior selfadjoint
-    in the weighted inner product and positive definite, square root
-    consistent).
+    Use build_problem to construct; the constructor validates the data
+    (every array finite, noise levels positive, prior selfadjoint in the
+    weighted inner product, and M Gamma_pr with a Cholesky factor).  The
+    prior's square root and its two checks, an eigenvalue told from 0 and
+    a root that squares back, run on the first read of gamma_pr_sqrt, which
+    every score reads and which generating or writing a problem never does.
     """
 
     def __init__(self, space: WeightedSpace, F, sigma, m_pr, gamma_pr):
@@ -85,12 +87,6 @@ class InverseProblem:
         self.sigma = sigma
         self.m_pr = m_pr
         self.gamma_pr = gamma_pr
-        self.gamma_pr_sqrt = _selfadjoint_sqrt(space, G)
-
-        R = self.gamma_pr_sqrt.rep
-        err = np.abs(R @ R - G).max()
-        if err > SQRT_CONSISTENCY_TOL * max(1.0, np.abs(G).max()):
-            raise ValueError(f"prior square root inconsistent with covariance (err {err:.3e})")
 
         nonzero = np.any(F != 0.0, axis=1)
         self.active = tuple(int(i) for i in np.flatnonzero(nonzero))
@@ -103,6 +99,21 @@ class InverseProblem:
     @property
     def n_s(self) -> int:
         return int(self.F.shape[0])
+
+    @cached_property
+    def gamma_pr_sqrt(self) -> Operator:
+        """Gamma_pr^1/2, the prior's selfadjoint square root, formed and
+        checked on first read: a prior whose eigenvalues rounding does not
+        tell from 0, or whose root does not square back to Gamma_pr within
+        SQRT_CONSISTENCY_TOL, is refused then, with the message a build
+        would give.  Writing a problem file never reads it."""
+        G = self.gamma_pr.rep
+        root = _selfadjoint_sqrt(self.space, G)
+        R = root.rep
+        err = np.abs(R @ R - G).max()
+        if err > SQRT_CONSISTENCY_TOL * max(1.0, np.abs(G).max()):
+            raise ValueError(f"prior square root inconsistent with covariance (err {err:.3e})")
+        return root
 
     # Per-sensor representers, formed on first read: column i gives s_i
     # and st_i.  Writing a problem file reads neither.

@@ -6,13 +6,14 @@ it.  It works on a fixed number of values at a time, so its memory stays
 bounded whatever the block's size.
 
 A value whose '%.17g' is fixed notation, decimal exponent X in [-4, 16], is
-written from its 17 significant digits D = round(|x| 10^(16 - X)), taken
-from one long double product.  The power is exact there (5^20 < 2^64), so
-the product is within 10^17 eps / 2 of the exact one, and D is kept only
-where the fraction lies farther than that from 1/2.  Every other value goes
-through one '%' operation per chunk.  Where long double is no wider than a
-double, the band exceeds 1/2, so every value takes that path, and the bytes
-are the same on every platform.
+written from its 17 significant digits D, the integer nearest to
+P = |x| 10^(16 - X).  The power is an exact double there (5^20 < 2^53), and
+Dekker's exact product of two doubles gives P = hi + lo with no rounding,
+hi an integer wherever P >= 2^53, so D, and whether P lies exactly halfway
+between two integers, are known exactly.  Such a tie, which '%.17g' breaks
+to even, and every value written in exponent form go through one '%'
+operation per chunk; a zero is written from its cell.  Only double
+arithmetic is used, so the bytes are the same on every platform.
 
 fileio imports this module on its first problem write, so a command that
 writes no problem file builds none of the tables below.
@@ -21,21 +22,36 @@ writes no problem file builds none of the tables below.
 import numpy as np
 
 _CHUNK = 1 << 12  # values per encoded chunk; bounds the encoder's memory
-_BAND = 1e17 * float(np.finfo(np.longdouble).eps) / 2
-_POW10 = np.cumprod(np.full(21, 10, np.longdouble)) / 10  # 10^0 to 10^20, exact
+_POW10 = 10.0 ** np.arange(21)  # 10^0 to 10^20, each exact
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant: splits a double into two 26-bit halves
+
+
+def _halves(a: np.ndarray) -> tuple:
+    """a = high + low exactly, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
 _QUADS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # the digits of 0000 to 9999
-_DIGITS = np.ascontiguousarray(_QUADS + ord("0")).view(np.uint32).ravel()  # as 4 ASCII bytes
 # the place (0-3) of the last nonzero digit of a four-digit group, -99 for 0000
 _LAST = np.where(_QUADS != 0, np.arange(4, dtype=np.int8), np.int8(-99)).max(axis=1)
 
-# A cell holds one value and its separator: the sign, the "0.000" of a
-# value below 1, digit j at column 6 + 2j with a candidate '.' after it, and
-# the separator last.  The bytes a value keeps depend only on its sign, X and
-# the place of its last nonzero digit, so its mask is one row of a table.
-# A zero keeps the cell's "-0" or its "0"; a fallback string of length L,
-# written from the cell's start, keeps L bytes.
-_CELL = np.frombuffer(b"-0.000" + b"d." * 16 + b"d ", np.uint8)
-_WIDTH = _CELL.size
+# A cell holds one value and its separator in five 8-byte words: the sign,
+# the "0.000" of a value below 1, digit 0 and a candidate '.' in the first
+# word, from _LEAD; then digits 1-16, each with a candidate '.' after it,
+# four to a word, from _PAIRS, with the separator in place of the last '.'.
+# The bytes a value keeps depend only on its sign, X and the place of its
+# last nonzero digit, so its mask is one row of a table.  A zero keeps the
+# cell's "-0" or its "0"; a fallback string of length L, written from the
+# cell's start, keeps L bytes.
+_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+_PAIRS = np.full((10**4, 8), ord("."), np.uint8)
+_PAIRS[:, ::2] = _QUADS + ord("0")
+_PAIRS = _PAIRS.view(np.uint64).ravel()  # "d.d.d.d." of 0000 to 9999
+del _QUADS
+_WIDTH = 40
 _ZERO = 2 * 21 * 17  # the table rows of 0 and -0, then of the fallback strings
 _FALLBACK = _ZERO + 2
 
@@ -68,36 +84,44 @@ def _significand(v: np.ndarray) -> tuple:
     a[~fast] = 1.0  # keeps the other values from warning
     X = np.floor(np.log10(a)).astype(np.intp)
     np.clip(X, -4, 16, out=X)
-    y = a.astype(np.longdouble) * _POW10[16 - X]
-    whole = y.astype(np.int64)
-    frac = (y - whole).astype(float)
-    D = whole + (frac > 0.5)  # ties lie in the band
+    m = 16 - X
+    hi = a * _POW10[m]
+    a_hi, a_lo = _halves(a)
+    p_hi, p_lo = _POW10_HI[m], _POW10_LO[m]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo  # a 10^m - hi, exactly
+    floor = np.floor(lo)
+    frac = lo - floor
+    whole = hi.astype(np.int64) + floor.astype(np.int64)  # the integer part of P where P >= 2^53
+    D = whole + (frac > 0.5)
     # a wrong X from log10 or a D rounding up to 10^17 leaves [10^16, 10^17)
-    fast &= (np.abs(frac - 0.5) > _BAND) & (whole >= 10**16) & (D < 10**17)
+    fast &= (frac != 0.5) & (whole >= 10**16) & (D < 10**17)
     D[~fast] = 10**16
     return X, D, fast
 
 
-def _encode(v: np.ndarray, seps: np.ndarray) -> bytes:
-    """The bytes of '%.17g' % x for each x in v, each followed by its separator."""
+def _encode(v: np.ndarray, first: int, cols: int) -> bytes:
+    """The bytes of '%.17g' % x for each x in v, each followed by its
+    separator: a newline after v[first], v[first + cols], ..., else a space."""
     k = v.size
     X, D, fast = _significand(v)
     hi = D // 10**8
     lo = (D - hi * 10**8).astype(np.uint32)  # 32-bit division is the fast one
     hi = hi.astype(np.uint32)
     top = hi // 10**4
-    groups = np.empty((5, k), np.uint32)
+    groups = np.empty((5, k), np.intp)
     groups[0] = top // 10**4
     groups[1] = top - groups[0] * 10**4
     groups[2] = hi - top * 10**4
     groups[3] = lo // 10**4
     groups[4] = lo - groups[3] * 10**4
     places = _LAST[groups[1:]] + np.arange(1, 17, 4, dtype=np.int8)[:, None]
-    last = np.maximum(np.maximum(places[0], places[1]), np.maximum(places[2], places[3]))
-    code = (np.signbit(v) * 21 + X + 4) * 17 + np.maximum(last, 0)
-    cells = np.tile(_CELL, (k, 1))
-    cells[:, 6:39:2] = _DIGITS[np.ascontiguousarray(groups.T, np.intp)].view(np.uint8)[:, 3:]
-    cells[:, -1] = seps
+    code = (np.signbit(v) * 21 + X + 4) * 17 + np.maximum(places.max(axis=0), 0)
+    words = np.empty((k, 5), np.uint64)
+    words[:, 0] = _LEAD[groups[0]]
+    words[:, 1:] = _PAIRS[groups[1:]].T
+    cells = words.view(np.uint8)
+    cells[:, -1] = ord(" ")
+    cells[first::cols, -1] = ord("\n")
     zero = v == 0
     code[zero] = _ZERO + np.signbit(v[zero])
     slow = np.flatnonzero(~fast & ~zero)
@@ -106,17 +130,16 @@ def _encode(v: np.ndarray, seps: np.ndarray) -> bytes:
         strings = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 25)
         cells[slow, :24] = strings[:, :24]
         code[slow] = _FALLBACK + np.argmax(strings == ord(" "), axis=1)
-    return np.compress(np.take(_MASKS, code, axis=0).ravel(), cells).tobytes()
+    cells *= _MASKS[code]  # a dropped byte becomes NUL, which no kept byte is
+    return cells.tobytes().translate(None, b"\0")
 
 
 def rows(A: np.ndarray):
-    """The text of a 2-D block as ASCII bytes, in chunks of at most _CHUNK
-    values: whole rows, or pieces of a row longer than that."""
+    """The text of a 2-D block of doubles as ASCII bytes, in chunks of at
+    most _CHUNK values: whole rows, or pieces of a row longer than that."""
     cols = A.shape[1]
     step = max(1, _CHUNK // cols)
     for r in range(0, A.shape[0], step):
         flat = A[r:r + step].ravel()
         for at in range(0, flat.size, _CHUNK):
-            v = flat[at:at + _CHUNK]
-            ends = np.arange(at + 1, at + v.size + 1) % cols == 0
-            yield _encode(v, np.where(ends, ord("\n"), ord(" ")))
+            yield _encode(flat[at:at + _CHUNK], (cols - 1 - at) % cols, cols)

@@ -126,6 +126,19 @@ def chain_stiffness_matrix(n: int, h: float) -> np.ndarray:
     return K
 
 
+def _solve_screened(M: np.ndarray, K: np.ndarray, weight: float, name: str) -> np.ndarray:
+    """(M + weight K)^-1 M; an operator that is not finite or is singular
+    is refused by name, as 'M + <name> K'."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the fault
+        A = M + weight * K
+    if not np.isfinite(A).all():
+        raise ValueError(f"M + {name} K is not finite")
+    try:
+        return np.linalg.solve(A, M)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"M + {name} K is singular") from None
+
+
 def gen_chain(spec: ProblemSpec) -> InverseProblem:
     """1-D chain instance on n mesh nodes.
 
@@ -167,9 +180,8 @@ def gen_chain(spec: ProblemSpec) -> InverseProblem:
     K = chain_stiffness_matrix(n, h)
     space = WeightedSpace(M)
 
-    gamma_pr = Operator(space, np.linalg.solve(M + spec.prior_weight * K, M))
-    solution_map = np.linalg.solve(M + spec.diffusivity * K, M)
-    F = solution_map[list(nodes), :]
+    gamma_pr = Operator(space, _solve_screened(M, K, spec.prior_weight, "prior_weight"))
+    F = _solve_screened(M, K, spec.diffusivity, "diffusivity")[list(nodes), :]
     sigma = np.full(len(nodes), 0.1)
     m_pr = np.zeros(n)
     return build_problem(space, F, sigma, m_pr, gamma_pr)

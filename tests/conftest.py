@@ -112,6 +112,16 @@ def three_sensor_problem() -> ss.InverseProblem:
     return ss.build_problem(space, f, np.ones(3), np.zeros(2), np.eye(2))
 
 
+def singular_prior_problem(seed) -> ss.InverseProblem:
+    """Three identity sensors under the prior Q diag(0, 1, 2) Q', Q drawn
+    from seed: built, or refused by build_problem.  Rounding leaves the
+    prior's smallest eigenvalue a few ulps either side of 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    gpr = q @ np.diag([0.0, 1.0, 2.0]) @ q.T
+    space = ss.WeightedSpace.euclidean(3)
+    return ss.build_problem(space, np.eye(3), np.ones(3), np.zeros(3), gpr)
+
+
 def scalar_problem() -> ss.InverseProblem:
     space = ss.WeightedSpace.euclidean(1)
     return ss.build_problem(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
+from senselect.cli import main
 
 from conftest import identity_problem, random_problem, scalar_problem
 
@@ -200,18 +201,22 @@ def test_criterion_07_rank_one_identities_200_spaces():
     assert elapsed < 5.0
 
 
-def _run_python(args, cwd, **env):
+def _python(args, cwd, **env) -> subprocess.CompletedProcess:
     # the child runs in cwd, so point it at the package under test by an
     # absolute path; a relative PYTHONPATH would not resolve there
     src = str(Path(ss.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
     )
+
+
+def _run_python(args, cwd, **env):
+    proc = _python(args, cwd, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -397,6 +402,51 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         loaded = set(_modules_loaded(argv, tmp_path))
         assert {"senselect.fileio", f"senselect.{runs_on}"} <= loaded, loaded
         assert not {f"senselect.{name}" for name in absent} & loaded, (argv[0], loaded)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "{p}", "1,2,10"], 0),
+    (["eval", "{d}/missing.prob", "1"], 2),
+    (["greedy", "{p}", "-1"], 2),
+    (["eval", "{p}", "0"], 3),
+    (["greedy", "{p}", "3", "--certify", "--cap", "1"], 4),
+    (["verify", "{p}", "--trials", "10", "--samples", "2000", "--seed", "55"], 5),
+], ids=["ok", "file", "flag", "subset", "cap", "check"])
+def test_module_exits_as_main_returns(tmp_path, capsys, argv, code):
+    """`python -m senselect`, which freezes the collector before it exits,
+    gives main's exit code, stdout and stderr.  Seed 55's Monte Carlo gate
+    fails on README's chain, after the checks print their lines."""
+    problem = tmp_path / "chain.prob"
+    ss.write_problem(ss.generate(ss.ProblemSpec("chain", n=20, n_s=10, seed=7)), problem)
+    argv = [a.format(p=problem, d=tmp_path) for a in argv]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's refusal
+        assert exc.code == code
+    want = capsys.readouterr()
+    proc = _python(["-m", "senselect", *argv], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
+
+
+def test_gen_never_forms_the_prior_root(tmp_path):
+    """`python -m senselect gen` writes the problem, and the problem it
+    wrote has no square root of its prior, nor did anything form one."""
+    code = """
+import runpy, sys
+from senselect import fileio, model
+written, roots = [], []
+write, root = fileio.write_problem, model._selfadjoint_sqrt
+fileio.write_problem = lambda p, path: written.append(p) or write(p, path)
+model._selfadjoint_sqrt = lambda *a: roots.append(a) or root(*a)
+sys.argv = ["senselect", "gen", "--kind", "random", "--n", "40", "--n-s", "24", "--out", "p"]
+try:
+    runpy.run_module("senselect", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+(p,) = written
+print(len(roots), "gamma_pr_sqrt" in vars(p))
+"""
+    assert _run_python(["-c", code], tmp_path).splitlines()[-1] == "0 False"
 
 
 def test_package_root_loads_its_exports_on_first_access():

@@ -1,5 +1,10 @@
 """Command line behavior: output text, files, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ import senselect as ss
 from senselect import fileio, model
 from senselect.cli import main
 
-from conftest import piped, three_sensor_problem
+from conftest import piped, singular_prior_problem, three_sensor_problem
 
 IDENTITY_2 = """\
 schema_version 1
@@ -464,3 +469,57 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--element-size", "1e-300"], "M + prior_weight K is singular"),
+    (["--prior-weight", "1e300", "--element-size", "1e-300"], "M + prior_weight K is not finite"),
+    (["--diffusivity", "1e308"], "M + diffusivity K is not finite"),
+])
+def test_gen_chain_names_the_operator_that_fails(tmp_path, capsys, flags, message):
+    """Once numpy's bare 'Singular matrix', or an overflow warning pointing
+    into the generator; the suite runs with RuntimeWarning as an error."""
+    out = tmp_path / "x.prob"
+    code = main(["gen", "--kind", "chain", "--n", "30", "--n-s", "3", *flags, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("argv", [["greedy", "{p}", "1"], ["verify", "{p}", "--trials", "2"],
+                                  ["eval", "{p}", "1"]], ids=["greedy", "verify", "eval"])
+def test_prior_refused_at_its_root_exits_3_on_either_read(tmp_path, capsys, monkeypatch,
+                                                          argv, warm):
+    """A prior that only the square root's eigenvalue test refuses builds
+    and is cached; every command that scores still refuses it, hit or miss."""
+    path = tmp_path / "p.prob"
+    fileio.write_problem(singular_prior_problem(2), path)  # caches it under XDG_CACHE_HOME
+    if not warm:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    for _ in range(2):  # a miss stores it, so the second cold read is a hit
+        assert main([a.format(p=path) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: prior covariance is not positive definite\n"
+        assert captured.out == ""
+    assert main(["eval", str(path), ""]) == 0  # the empty design never reads the root
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    """An 80,081-byte file whose two identity blocks ask for 3.2 GB each,
+    read in a process whose address space is capped at 2.5 GB."""
+    resource = pytest.importorskip("resource")
+    n = 20000
+    path = tmp_path / "big.prob"
+    path.write_text(f"schema_version 1\nn {n}\nn_s 1\nM identity\nGamma_pr identity\nF dense\n"
+                    + "0 " * (n - 1) + "1\nsigma\n1\nm_pr\n" + "0 " * (n - 1) + "0\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+    src = str(Path(ss.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "senselect", "eval", str(path), "1"],
+                          cwd=tmp_path, capture_output=True, text=True, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1

@@ -187,8 +187,19 @@ def _boundaries(rng, size):
     return np.concatenate([v, -v])
 
 
+def _exact_ties(rng, size):
+    """Values x for which x 10^(16 - X) lies exactly halfway between two
+    integers, X the decimal exponent: q / 2^(m + 1) for an odd q, m = 16 - X.
+    '%.17g' breaks the tie to even."""
+    m = rng.integers(2, 21, size)
+    low = 2.0 ** (m + 1) * 10.0 ** (16 - m)
+    q = np.minimum(low * 10.0 ** rng.uniform(0, 1, size), 2.0**53 - 1) // 2 * 2 + 1
+    v = np.ldexp(q, -(m + 1))
+    return v * rng.choice([-1.0, 1.0], size)
+
+
 @pytest.mark.parametrize("draw", [_bit_patterns, _log_uniform, _halfway, _powers_of_ten,
-                                  _boundaries])
+                                  _boundaries, _exact_ties])
 def test_rows_match_per_value_format(draw):
     v = draw(np.random.default_rng(98), 20_000)
     assert_rows_as_reference(v[: v.size - v.size % 4].reshape(-1, 4))
@@ -207,11 +218,28 @@ def test_rows_match_per_value_format_across_chunks(monkeypatch):
 
 
 def test_rows_without_the_fast_path_write_the_same_bytes(monkeypatch):
-    """A band wider than 1/2, as where long double is a double, sends every
-    value to the fallback."""
+    """The fallback alone, given every value, fast ones included, writes the
+    same bytes."""
     v = np.concatenate([_boundaries(None, 0), _log_uniform(np.random.default_rng(100), 500)])
-    monkeypatch.setattr(numtext, "_BAND", 1.0)
+    significand = numtext._significand
+    monkeypatch.setattr(numtext, "_significand",
+                        lambda v: (*significand(v)[:2], np.zeros(v.size, bool)))
     assert_rows_as_reference(v.reshape(-1, 4))
+
+
+def test_rows_working_set_per_chunk():
+    """One chunk of 4,096 values, log-uniform over the fast path's decades
+    and beyond, takes at most 1.4 MB of temporaries, the most that the
+    encoder of long double products and 40-byte "d." cells held."""
+    v = _log_uniform(np.random.default_rng(101), numtext._CHUNK)[None, :]
+    b"".join(numtext.rows(v))  # builds numtext's tables before the trace
+    tracemalloc.start()
+    try:
+        b"".join(numtext.rows(v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4e6
 
 
 def test_comments_and_blank_lines_ignored():
@@ -609,6 +637,28 @@ def test_cache_miss_stores_then_hits(cache, parses, tmp_path):
     second = fileio.read_problem(path)
     assert parses[0] == 1
     assert second.content_hash() == first.content_hash()
+
+
+@pytest.mark.parametrize("text, identities", [
+    (None, 0), (GOOD, 2), (GOOD.replace("Gamma_pr identity", "Gamma_pr dense\n2 0\n0 2"), 1)],
+    ids=["dense", "both", "M"])
+def test_an_identity_is_made_only_for_an_identity_block(cache, tmp_path, monkeypatch, text,
+                                                        identities):
+    """Neither the writer's test for I nor a hit makes an n x n temporary:
+    np.eye runs once per block that a parse reads as 'identity', and never
+    for a write or a hit, which loads the blocks the cache stored."""
+    path = tmp_path / "p.prob"
+    calls = []
+    eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda *a, **kw: calls.append(a) or eye(*a, **kw))
+    if text is None:
+        fileio.write_problem(random_problem(np.random.default_rng(94), 5, 4), path)
+    else:
+        path.write_text(text)
+        fileio.write_problem(fileio.read_problem(path), tmp_path / "again.prob")
+        assert len(calls) == identities  # the miss's build; the write makes none
+    fileio.read_problem(path)
+    assert len(calls) == identities
 
 
 def test_write_problem_seeds_the_cache(cache, parses, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import fileio
+from senselect import fileio, model
 from senselect.wspace import adjoint_forward
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     random_problem,
     random_spd,
     scalar_problem,
+    singular_prior_problem,
 )
 
 
@@ -101,13 +102,37 @@ def test_build_rejects_indefinite_prior():
 def test_build_rejects_singular_prior(seed):
     """Gamma = Q diag(0, 1, 2) Q' is singular, but rounding leaves its smallest
     eigenvalue a few ulps either side of 0: at seed 0 the Cholesky of M Gamma
-    alone refuses it, at seed 2 the eigenvalue test alone, and at seed 9 both
-    passed while the eigenvalue test asked only for w > 0."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
-    gpr = q @ np.diag([0.0, 1.0, 2.0]) @ q.T
-    space = ss.WeightedSpace.euclidean(3)
+    alone refuses it, at build, and at seed 2 the eigenvalue test alone, at
+    the first read of the square root; at seed 9 both passed while the
+    eigenvalue test asked only for w > 0.  Every seed is refused by one of
+    the two, with the one message."""
     with pytest.raises(ValueError, match="not positive definite"):
-        ss.build_problem(space, np.eye(3), np.ones(3), np.zeros(3), gpr)
+        singular_prior_problem(seed).gamma_pr_sqrt  # noqa: B018
+
+
+@pytest.mark.parametrize("spec", [ss.ProblemSpec("random", n=30, n_s=20, seed=3),
+                                  ss.ProblemSpec("chain", n=20, n_s=10, seed=7)],
+                         ids=["random", "chain"])
+def test_generate_and_write_never_form_the_prior_root(tmp_path, spec):
+    """The root is formed at its first read, from the same call on the same
+    arrays as a build that formed it would make, so its bits are the same."""
+    p = ss.generate(spec)
+    fileio.write_problem(p, tmp_path / "p.prob")
+    assert "gamma_pr_sqrt" not in vars(p)
+    want = model._selfadjoint_sqrt(p.space, p.gamma_pr.rep).rep
+    assert p.gamma_pr_sqrt.rep.tobytes() == want.tobytes()
+
+
+def test_singular_prior_refused_at_the_first_read_of_its_root():
+    """A prior that only the eigenvalue test refuses builds, and is refused
+    at each read of gamma_pr_sqrt, as at each score, never cached."""
+    p = singular_prior_problem(2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not positive definite"):
+            p.gamma_pr_sqrt  # noqa: B018
+        with pytest.raises(ValueError, match="not positive definite"):
+            ss.phi_eig(p, (0,))
+    assert "gamma_pr_sqrt" not in vars(p)
 
 
 def test_build_rejects_dimension_mismatch():
