@@ -15,7 +15,7 @@ load neither the solvers nor the checks.
 from __future__ import annotations
 
 import argparse
-import gc
+import os
 import sys
 
 from . import fileio
@@ -264,14 +264,13 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """main, for a process that exits once it returns: the `senselect`
-    script and `python -m senselect`.  gc.freeze() then moves every object
-    to the permanent generation, which the interpreter's exit does not
-    sweep; main itself freezes nothing, so a caller that goes on still has
-    its garbage collected."""
+    script and `python -m senselect`.  Once stdout and stderr are flushed,
+    os._exit ends the process with main's code; if a stream is closed (None
+    at start) its flush fails, and the code is returned.  main ends nothing."""
     code = main()
-    gc.freeze()
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(run())
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        return code
+    os._exit(code)

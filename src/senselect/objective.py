@@ -67,6 +67,27 @@ def eig_nats(p: InverseProblem, S) -> float:
     return 0.5 * phi_eig(p, S)
 
 
+def rounding_bound(n: int, size, big: float, conditioned: bool = False):
+    """How far two evaluations of phi of a design of size members can differ.
+
+    The first-order error of a Cholesky log determinant (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 10.1), for n
+    parameters, unit roundoff eps and big = max K_vv; size may be an array.
+    - A residual after t steps, t Cholesky steps of dimension at most n + t,
+      and so its gain log1p(r_v), errs by at most (n + t) eps (1 + big).  A
+      greedy gain exceeds the one before by two such errors at most, plus
+      two phi_eig scores of size t where the tie band chose: the bound of t + 1.
+    - A design's phi, a sum of size such terms, errs by half the bound, and
+      two evaluations by the bound; so a strictly positive phi(S + v) - phi(S)
+      exceeds minus the bound of |S| + 1 and lies within it of log1p(a_vv).
+    - A conditioned gain log1p(r_v - a_vw^2 / (1 + r_w)) scales an error in
+      a_vw by 2 |a_vw| / (1 + r_w) <= sqrt(a_vv) (Cauchy-Schwarz), so
+      conditioned multiplies the bound by sqrt(1 + big).
+    """
+    bound = 2.0 * size * (n + size) * np.finfo(float).eps * (1.0 + big)
+    return bound * math.sqrt(1.0 + big) if conditioned else bound
+
+
 @dataclass(eq=False)
 class DesignState:
     """A design together with the Schur factor rows of its members.

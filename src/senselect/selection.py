@@ -32,7 +32,6 @@ from .model import InverseProblem, count_at_least
 from .objective import Design
 
 EXHAUSTIVE_CAP = 2_000_000
-GAIN_MONOTONE_TOL = 1e-9
 # Greedy candidates whose Schur residual, and hence gain, lies within this
 # relative distance of the best, and exhaustive subsets whose kernel phi
 # does, are re-scored by phi_eig.  Mirror-symmetric designs tie only on the
@@ -118,6 +117,7 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
     t0 = time.perf_counter()
     k = _check_budget(p, k)
     kern = objective.SchurKernel(p, k)
+    big = float(kern.diag.max(initial=0.0))
     chosen, steps, evals, prev_gain, phi = [], [], 0, math.inf, 0.0
     for t in range(k):
         r = kern.r
@@ -127,7 +127,7 @@ def greedy(p: InverseProblem, k: int, threads: int = 1) -> SelectionReport:
         gain = math.log1p(r[j])
         if gain <= 0.0:
             raise RuntimeError(f"greedy gain {gain!r} not strictly positive")
-        if gain > prev_gain + GAIN_MONOTONE_TOL:
+        if gain > prev_gain + objective.rounding_bound(p.n, t + 1, big):
             raise RuntimeError(f"greedy gains increased: {prev_gain!r} -> {gain!r}")
         prev_gain, phi = gain, phi + gain
         chosen.append(kern.active[j])
@@ -186,8 +186,8 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
     larger one.  best starts at -inf; the first leaves scored, at the end
     of the first dive, set it.  Comparing with the floor, not with best,
     keeps every member of the band, and the comparison gives way by
-    _rounding_margin, which bounds how far two evaluations of one design's
-    kernel phi can differ.
+    objective.rounding_bound of size k, how far two evaluations of one
+    design's kernel phi can differ.
 
     Entering a child appends its factor row through the SchurKernel.add
     that greedy calls, so nodes entered = add calls + 1.  One child step
@@ -206,7 +206,7 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         vals = np.log1p(kern.diag)
         return [(j,) for j in np.flatnonzero(vals >= (1.0 - TIE_RTOL) * vals.max()).tolist()]
     m = len(kern.active)
-    margin = _rounding_margin(kern, k)
+    margin = objective.rounding_bound(kern.n, k, float(kern.diag.max(initial=0.0)))
     best, floor, band = -math.inf, -math.inf, []
 
     def frame(prefix: tuple[int, ...], phi: float) -> tuple:
@@ -241,19 +241,6 @@ def _near_optimal(kern: objective.SchurKernel, k: int) -> list[tuple[int, ...]]:
         kern.add(c)
         stack.append(frame(prefix + (c,), phi))
     return sorted(s for _, s in band)
-
-
-def _rounding_margin(kern: objective.SchurKernel, k: int) -> float:
-    """How far two evaluations of one size-k design's kernel phi can differ.
-
-    Each of the k log1p terms takes a residual that a Cholesky step of
-    dimension at most n + k rounds by at most (n + k) eps (1 + max K_vv)
-    to first order, and log1p has slope at most 1; the k-term sum adds
-    k eps phi, which that bound already covers.  Two evaluations, in two
-    orders or along two paths, differ by at most twice one error.
-    """
-    eps = np.finfo(float).eps
-    return 2.0 * k * (kern.n + k) * eps * (1.0 + float(kern.diag.max(initial=0.0)))
 
 
 def random_baseline(p: InverseProblem, k: int, seed: int) -> SelectionReport:

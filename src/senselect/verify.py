@@ -20,9 +20,6 @@ from . import objective
 from .model import InverseProblem, Posterior, count_at_least, validate_design
 from .model import _posterior_cov, _posterior_mean
 
-GAIN_FLOOR = 1e-14
-FORMULA_TOL = 1e-9
-SUBMODULAR_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 10
 # mc_eig draws, maps to data and scores this many samples at a time, so its
 # memory is bounded whatever the sample count (see mc_eig); the estimate does
@@ -223,26 +220,21 @@ def _draw_outside(rng: np.random.Generator, m: int, S) -> int:
     return int(rng.choice(np.delete(np.arange(m), S)))
 
 
-def _extreme(value: float, count: int) -> float:
-    """An extreme taken over count trials or pairs; over none it reads 0.0."""
-    return value if count else 0.0
-
-
 def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> MonotoneReport:
     """Sampled strict-monotonicity check.
 
     Each trial draws a random design S and a candidate v outside it, as
     positions in p.active, so inactive candidates are never sampled, then
-    requires the from-scratch difference phi(S + v) - phi(S) to be strictly
-    positive (above a tiny floor) and to match log(1 + a_vv) within an
-    absolute tolerance.  All designs are drawn first, in the order of the
-    trials, and phi(S + v) of every trial comes from one _reference_phi
-    call.  Each trial then factors S once, with _gram_factor, for phi(S)
-    and for a_vv by _residual's Woodbury form, so it holds one design's
-    rows and factor, never a kernel sized by the largest design.  It tests
-    that form, not greedy's row-by-row SchurKernel arithmetic, which the
-    exhaustive submodularity check reads.  min_gain is 0.0 when no trial
-    ran, and p.whitened is then never formed.
+    requires phi(S + v) - phi(S), from scratch, to exceed minus, and to
+    match log(1 + a_vv) within, objective.rounding_bound of S + v.  All
+    designs are drawn first, in the order of the trials, and phi(S + v) of
+    every trial comes from one _reference_phi call.  Each trial then
+    factors S once, with _gram_factor, for phi(S) and for a_vv by
+    _residual's Woodbury form, so it holds one design's rows and factor,
+    never a kernel sized by the largest design.  It tests that form, not
+    greedy's row-by-row SchurKernel arithmetic, which the exhaustive
+    submodularity check reads.  min_gain is 0.0 when no trial ran, and
+    p.whitened is then never formed.
     """
     trials = count_at_least(trials, 0, "trials")
     rng = np.random.default_rng(count_at_least(seed, 0, "seed"))
@@ -255,21 +247,18 @@ def check_monotone(p: InverseProblem, trials: int = 200, seed: int = 0) -> Monot
         S = tuple(int(i) for i in np.sort(rng.choice(m, size, replace=False)))
         draws.append((S, _draw_outside(rng, m, S)))
     ref = _reference_phi(p, [S + (v,) for S, v in draws])
-    violations = 0
-    min_gain = math.inf
-    max_err = 0.0
-    for (S, v), phi_Sv in zip(draws, ref.tolist()):
+    gains, errs = np.empty(trials), np.empty(trials)
+    for t, ((S, v), phi_Sv) in enumerate(zip(draws, ref.tolist())):
         w = p.whitened.T
         ws = w[list(S)]
         c = _gram_factor(ws, p.n)
-        dense_gain = phi_Sv - float(_logdet(c))
-        formula_gain = math.log1p(_residual(c, ws, w[v]))
-        err = abs(dense_gain - formula_gain)
-        min_gain = min(min_gain, dense_gain)
-        max_err = max(max_err, err)
-        if dense_gain < GAIN_FLOOR or err > FORMULA_TOL:
-            violations += 1
-    return MonotoneReport(trials, violations, _extreme(min_gain, trials), max_err)
+        gains[t] = phi_Sv - float(_logdet(c))
+        errs[t] = abs(gains[t] - math.log1p(_residual(c, ws, w[v])))
+    big = float(objective.SchurKernel(p, 0).diag.max()) if trials else 0.0
+    tol = objective.rounding_bound(p.n, np.array([len(S) + 1 for S, _ in draws]), big)
+    violations = int(np.count_nonzero((gains <= -tol) | (errs > tol)))
+    min_gain = float(gains.min()) if trials else 0.0
+    return MonotoneReport(trials, violations, min_gain, float(errs.max(initial=0.0)))
 
 
 def _residual(c: np.ndarray, ws: np.ndarray, x: np.ndarray) -> float:
@@ -312,7 +301,7 @@ def check_submodular(
         report = _check_submodular_random(p, trials, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return replace(report, max_breach=_extreme(report.max_breach, report.checks))
+    return replace(report, max_breach=report.max_breach if report.checks else 0.0)
 
 
 def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
@@ -323,8 +312,8 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     in lexicographic order on one SchurKernel, one add per design, so a
     design's residuals, the plain gains log1p(a_vv), are its r.  One
     SchurKernel.pair_gains call over the remaining positions gives the
-    conditioned gain of every pair at once.
-    """
+    conditioned gain of every pair at once.  A + v is held to the
+    objective.rounding_bound of its size, a pair to the conditioned one."""
     m = len(p.active)
     if m > 16:
         raise ValueError("exhaustive mode is limited to 16 active candidates")
@@ -332,6 +321,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
     bits = 1 << np.arange(m)
     pairs = [np.nonzero(~np.eye(s, dtype=bool)) for s in range(m + 1)]  # [v, w], v != w
     kern = objective.SchurKernel(p, m)
+    big = float(kern.diag.max(initial=0.0))
     checks = violations = 0
     max_breach = -math.inf
     max_err = 0.0
@@ -343,7 +333,7 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
         up = phi[mask | bits[rest]]  # phi(A + v)
         err = np.abs(plain - (up - phi[mask]))
         max_err = max(max_err, float(err.max(initial=0.0)))
-        violations += int(np.count_nonzero(err > FORMULA_TOL))
+        violations += int(np.count_nonzero(err > objective.rounding_bound(p.n, t + 1, big)))
         if rest.size > 1:
             v, w = pairs[rest.size]
             cond = kern.pair_gains(rest, rest)[w, v]  # v after w
@@ -352,7 +342,8 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
             checks += breach.size
             max_breach = max(max_breach, float(breach.max()))
             max_err = max(max_err, float(err.max()))
-            violations += int(np.count_nonzero((breach > SUBMODULAR_TOL) | (err > FORMULA_TOL)))
+            tol = objective.rounding_bound(p.n, t + 2, big, conditioned=True)
+            violations += int(np.count_nonzero((breach > tol) | (err > tol)))
         if t + 1 < m:
             for j in range(start, m):
                 kern.t = t
@@ -364,7 +355,8 @@ def _check_submodular_exhaustive(p: InverseProblem) -> SubmodularReport:
 
 
 def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> SubmodularReport:
-    """trials draws of A inside B and v outside B, all drawn before any value."""
+    """trials draws of A inside B and v outside B, all drawn before any value;
+    a breach sums four phi, so twice the rounding_bound of B + v bounds it."""
     rng = np.random.default_rng(seed)
     m = len(p.active)
     if m < 2:
@@ -380,7 +372,9 @@ def _check_submodular_random(p: InverseProblem, trials: int, seed: int) -> Submo
         designs += [A + (v,), A, B + (v,), B]
     phi = _reference_phi(p, designs).reshape(-1, 4)
     breach = (phi[:, 2] - phi[:, 3]) - (phi[:, 0] - phi[:, 1])  # gain at B - gain at A
-    violations = int(np.count_nonzero(breach > SUBMODULAR_TOL))
+    big = float(objective.SchurKernel(p, 0).diag.max()) if trials else 0.0
+    tol = 2.0 * objective.rounding_bound(p.n, np.array([len(d) for d in designs[2::4]]), big)
+    violations = int(np.count_nonzero(breach > tol))
     max_breach = float(breach.max(initial=-math.inf))
     return SubmodularReport("random", trials, violations, max_breach, None)
 
@@ -429,6 +423,5 @@ def verification_run(
     target = 0.5 * objective.phi_eig(p, design)
     mono = check_monotone(p, trials=trials, seed=seed)
     sub = check_submodular(p, mode="auto", trials=trials, seed=seed + 1)
-    tol = 3.0 * est.std_error if est.std_error > 0 else 1e-12
-    mc_ok = abs(est.mean_kl - target) <= tol
+    mc_ok = abs(est.mean_kl - target) <= 3.0 * est.std_error
     return VerificationSummary(mono, sub, est, tuple(design), target, mc_ok, seed)

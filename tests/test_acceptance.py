@@ -315,11 +315,17 @@ def test_readme_verify_block_under_blas_threads(tmp_path, threads):
 
     README says which fields measure rounding error and so depend on the
     BLAS build: min_gain and max_breach must match to 10 significant
-    digits and each max_formula_err must stay below FORMULA_TOL.  Every
-    other field must be README's exactly.
+    digits and each max_formula_err must stay below the largest
+    objective.rounding_bound its check holds an error to on README's
+    problem, that of all m sensors, conditioned for the submodular pairs.
+    Every other field must be README's exactly.
     """
     session = {a[0]: (a, out) for a, out in _readme_session()}
     _run_cli(session["gen"][0], tmp_path)
+    p = ss.read_problem(tmp_path / "chain.prob")
+    big, m = float(ss.objective.SchurKernel(p, 0).diag.max()), len(p.active)
+    bound = {"monotone": ss.objective.rounding_bound(p.n, m, big),
+             "submodular[exhaustive]": ss.objective.rounding_bound(p.n, m, big, True)}
     argv, want = session["verify"]
     got = _run_cli(argv, tmp_path, OPENBLAS_NUM_THREADS=threads).splitlines()
     assert len(got) == len(want) == 4
@@ -329,7 +335,7 @@ def test_readme_verify_block_under_blas_threads(tmp_path, threads):
         for field, ref_field in zip(fields, ref_fields):
             key, _, value = field.partition("=")
             if key == "max_formula_err":
-                assert float(value) < ss.verify.FORMULA_TOL
+                assert float(value) < bound[fields[0]]
             elif key in ("min_gain", "max_breach"):
                 assert f"{float(value):.10g}" == f"{float(ref_field.partition('=')[2]):.10g}"
             else:
@@ -365,10 +371,12 @@ def _modules_loaded(argv, cwd):
     """The senselect modules that `python -m senselect ARGV` loads, sorted.
 
     runpy.run_module runs the package as `python -m` does, in a fresh
-    interpreter; the modules are listed once the command has returned.
+    interpreter; the modules are listed once the command has returned,
+    with cli.run's os._exit raising SystemExit instead.
     """
     code = f"""
-import runpy, sys
+import os, runpy, sys
+os._exit = sys.exit
 sys.argv = ["senselect", *{argv!r}]
 try:
     runpy.run_module("senselect", run_name="__main__", alter_sys=True)
@@ -413,7 +421,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     (["verify", "{p}", "--trials", "10", "--samples", "2000", "--seed", "55"], 5),
 ], ids=["ok", "file", "flag", "subset", "cap", "check"])
 def test_module_exits_as_main_returns(tmp_path, capsys, argv, code):
-    """`python -m senselect`, which freezes the collector before it exits,
+    """`python -m senselect`, which ends the process with os._exit once main returns,
     gives main's exit code, stdout and stderr.  Seed 55's Monte Carlo gate
     fails on README's chain, after the checks print their lines."""
     problem = tmp_path / "chain.prob"
@@ -430,10 +438,12 @@ def test_module_exits_as_main_returns(tmp_path, capsys, argv, code):
 
 def test_gen_never_forms_the_prior_root(tmp_path):
     """`python -m senselect gen` writes the problem, and the problem it
-    wrote has no square root of its prior, nor did anything form one."""
+    wrote has no square root of its prior, nor did anything form one.
+    cli.run's os._exit raises SystemExit here, so the checks run after it."""
     code = """
-import runpy, sys
+import os, runpy, sys
 from senselect import fileio, model
+os._exit = sys.exit
 written, roots = [], []
 write, root = fileio.write_problem, model._selfadjoint_sqrt
 fileio.write_problem = lambda p, path: written.append(p) or write(p, path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import fileio, model
+from senselect import cli, fileio, model
 from senselect.cli import main
 
 from conftest import piped, singular_prior_problem, three_sensor_problem
@@ -205,9 +205,40 @@ def test_greedy_k_too_large_exits_3(pair_file, capsys):
 
 def test_greedy_gain_guard_exits_5(identity_file, monkeypatch, capsys):
     # equal gains log 2 now count as rising; the guard raises RuntimeError
-    monkeypatch.setattr(ss.selection, "GAIN_MONOTONE_TOL", -1.0)
+    monkeypatch.setattr(ss.objective, "rounding_bound", lambda *args, **kw: -1.0)
     assert main(["greedy", identity_file, "2"]) == 5
     assert "error: greedy gains increased" in capsys.readouterr().err
+
+
+class _Stream:
+    """A stream that counts its flushes, or raises on one."""
+
+    def __init__(self, error=None):
+        self.flushes, self.error = 0, error
+
+    def flush(self):
+        if self.error:
+            raise self.error
+        self.flushes += 1
+
+
+@pytest.mark.parametrize("stdout", [_Stream(), _Stream(BrokenPipeError(32, "Broken pipe")),
+                                    _Stream(ValueError("I/O operation on closed file.")), None],
+                         ids=["flushed", "broken-pipe", "closed", "closed-at-start"])
+def test_run_ends_the_process_once_both_streams_are_flushed(monkeypatch, stdout):
+    """cli.run hands main's code to os._exit after flushing stdout and then
+    stderr; when stdout cannot be flushed, it returns the code to its
+    caller instead.  A stream closed at start is None."""
+    exits, err = [], _Stream()
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = cli.run()
+    if stdout is not None and stdout.error is None:
+        assert (exits, code, stdout.flushes, err.flushes) == ([3], None, 1, 1)
+    else:
+        assert (exits, code, err.flushes) == ([], 3, 0)
 
 
 def test_greedy_lazy_report_differs_only_in_method(pair_file, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The gain kernel and the selectors against exact arithmetic (tests/exact.py).
 
-Each bound is selection._rounding_margin of the design size in question:
+Each bound is objective.rounding_bound of the design size in question:
 half of it bounds one evaluation's distance from the exact phi of the
 file's doubles, and the whole of it the distance between two evaluations.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
-from senselect import objective, selection
+from senselect import objective
 
 import exact
 from conftest import three_sensor_problem
@@ -35,7 +35,7 @@ def case(request):
 
 
 def _margin(p, size: int) -> float:
-    return selection._rounding_margin(objective.SchurKernel(p, 0), size)
+    return objective.rounding_bound(p.n, size, float(objective.SchurKernel(p, 0).diag.max()))
 
 
 def test_exact_kernel_of_the_three_sensor_problem():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import senselect as ss
+from senselect import objective
 
 from conftest import (
     identity_problem,
@@ -419,3 +420,35 @@ def test_nested_submodularity_small_exhaustive():
                     ga = phis[tuple(sorted(a + (v,)))] - phis[a]
                     gb = phis[tuple(sorted(b + (v,)))] - phis[b]
                     assert ga >= gb - 1e-9
+
+
+def _in_basis(p, T):
+    """p with parameters m = T m': M' = T'MT, F' = FT, m_pr' = T^-1 m_pr, and
+    the prior operator T^-1 Gamma_pr T, whose covariance matrix is T^-1 C T^-T."""
+    m = T.T @ p.space.M @ T
+    return ss.build_problem(ss.WeightedSpace(0.5 * (m + m.T)), p.F @ T, p.sigma,
+                            np.linalg.solve(T, p.m_pr), np.linalg.solve(T, p.gamma_pr.rep @ T))
+
+
+@pytest.mark.parametrize("spec", [ss.ProblemSpec("random", n=12, n_s=9, seed=5),
+                                  ss.ProblemSpec("random", n=40, n_s=24, seed=5)],
+                         ids=["random-12x9", "random-40x24"])
+def test_phi_eig_and_greedy_invariant_under_change_of_basis(spec):
+    """phi is a statement about the measures, not the coordinates.  Under
+    three random bases T = Q1 diag(d) Q2', d in [1/2, 2], phi_eig of a
+    design of every size agrees within objective.rounding_bound, and
+    greedy chooses the same sensors in the same order.  On these instances exact arithmetic
+    separates greedy's designs by at least 0.089; on the mirror chains
+    rounding decides greedy's choice."""
+    p = ss.generate(spec)
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((p.n, p.n)))[0] for _ in range(2))
+        q = _in_basis(p, q1 @ np.diag(np.exp(rng.uniform(-math.log(2), math.log(2), p.n))) @ q2.T)
+        big = max(float(objective.SchurKernel(r, 0).diag.max()) for r in (p, q))
+        for size in range(1, p.n_s + 1):
+            S = rng.choice(p.n_s, size, replace=False).tolist()
+            tol = objective.rounding_bound(p.n, size, big)
+            assert abs(ss.phi_eig(q, S) - ss.phi_eig(p, S)) <= tol
+        order = [[i for i, _, _ in ss.greedy(r, 5).per_step] for r in (p, q)]
+        assert order[0] == order[1]

@@ -437,7 +437,7 @@ def test_pair_gains_rows_are_log1p_of_the_residuals_after_add(problem):
     """Branch and bound's bounds and leaves rest on it: row a of
     pair_gains(R, R) is log1p of the residuals that add(R[a]) leaves, at the
     root and after each of greedy's first two steps, within the
-    _rounding_margin of a design of the prefix plus the pair."""
+    objective.rounding_bound of a design of the prefix plus the pair."""
     p = problem()
     m = len(p.active)
     order = [p.active.index(i) for i, _, _ in ss.greedy(p, 2).per_step]
@@ -448,7 +448,7 @@ def test_pair_gains_rows_are_log1p_of_the_residuals_after_add(problem):
             kern.add(j)
         rest = [j for j in range(m) if j not in order[:t]]
         gains = kern.pair_gains(rest, rest)
-        tol = selection._rounding_margin(kern, t + 2)
+        tol = objective.rounding_bound(kern.n, t + 2, float(kern.diag.max()))
         for row, w in zip(gains, rest):
             kern.t = t
             kern.add(w)

@@ -695,8 +695,9 @@ def _submodular_reference(p):
     """The exhaustive check one (A, v, w) at a time, on design_state.
 
     Returns the formula errors of the plain gains, and the breaches and
-    formula errors of the conditioned gains, so that violations can be
-    counted for any tolerances.
+    formula errors of the conditioned gains, each with the size of the
+    design A + v or A + v + w that its bound is taken at, so that
+    violations can be counted for any bound.
     """
     active = p.active
     phi = {c: ss.phi_eig(p, c)
@@ -705,18 +706,20 @@ def _submodular_reference(p):
     def with_(A, *extra):
         return tuple(sorted(A + extra))
 
-    plain_errs, breaches, pair_errs = [], [], []
+    plain_errs, breaches, pair_errs, plain_sizes, pair_sizes = [], [], [], [], []
     for r in range(len(active)):
         for A in itertools.combinations(active, r):
             state = ss.design_state(p, A)
             rest = [c for c in active if c not in A]
             plain = {v: ss.marginal_gain(state, v) for v in rest}
             plain_errs += [abs(plain[v] - (phi[with_(A, v)] - phi[A])) for v in rest]
+            plain_sizes += [r + 1] * len(rest)
             for v, w in itertools.permutations(rest, 2):
                 g = ss.marginal_gain_conditioned(state, v, w)
                 breaches.append(g - plain[v])
                 pair_errs.append(abs(g - (phi[with_(A, v, w)] - phi[with_(A, w)])))
-    return np.array(plain_errs), np.array(breaches), np.array(pair_errs)
+                pair_sizes.append(r + 2)
+    return tuple(map(np.array, (plain_errs, breaches, pair_errs, plain_sizes, pair_sizes)))
 
 
 def _submodular_cases():
@@ -741,26 +744,63 @@ def test_exhaustive_submodular_blocks_match_per_pair_reference(monkeypatch):
     conditioned gain that error is scaled by 2 |a_vw| / (1 + a_ww) <=
     sqrt(max K_vv), and each side rounds the formula by a few eps (1 +
     max K_vv).  max_breach and max_formula_err move by no more than the
-    largest gain does.
+    largest gain does.  The violations are counted with the check's own
+    objective.rounding_bound, and again with it replaced by -1 for the
+    pairs alone and then for every comparison.
     """
     eps = np.finfo(float).eps
+    bound = objective.rounding_bound
     for p in _submodular_cases():
         m = len(p.active)
         w = p.space.whitening_factor.T @ p.precond_vecs
         big = 1.0 + float(np.max(np.sum(w * w, axis=0)))
         tol = 2.0 * (p.n + m + 6) * eps * big ** 1.5
-        plain_errs, breaches, pair_errs = _submodular_reference(p)
-        for name in (None, "SUBMODULAR_TOL", "FORMULA_TOL"):
+        plain_errs, breaches, pair_errs, plain_sizes, pair_sizes = _submodular_reference(p)
+        kvv = float(objective.SchurKernel(p, 0).diag.max())
+        for negative in ((), (True,), (False, True)):
+            def patched(n, size, kvv, conditioned=False):
+                return -1.0 if conditioned in negative else bound(n, size, kvv, conditioned)
             with monkeypatch.context() as patch:
-                if name:
-                    patch.setattr(verify, name, -1.0)
+                patch.setattr(objective, "rounding_bound", patched)
                 rep = ss.check_submodular(p, mode="exhaustive")
-                bad_pair = (breaches > verify.SUBMODULAR_TOL) | (pair_errs > verify.FORMULA_TOL)
-                violations = int(np.sum(plain_errs > verify.FORMULA_TOL) + np.sum(bad_pair))
+            pair_tol = patched(p.n, pair_sizes, kvv, True)
+            bad_pair = (breaches > pair_tol) | (pair_errs > pair_tol)
+            violations = int(np.sum(plain_errs > patched(p.n, plain_sizes, kvv))
+                             + np.sum(bad_pair))
             assert (rep.checks, rep.violations) == (breaches.size, violations)
-            assert (violations > 0) == (name is not None)
+            assert (violations > 0) == bool(negative)
             assert abs(rep.max_breach - breaches.max()) <= tol
             assert abs(rep.max_formula_err - max(plain_errs.max(), pair_errs.max())) <= tol
+
+
+@pytest.mark.parametrize("scale, counted", [(4.0, True), (0.25, False)])
+def test_one_phi_moved_past_its_rounding_bound_is_a_violation(monkeypatch, scale, counted):
+    """check_monotone and the exhaustive check hold every from-scratch phi
+    to objective.rounding_bound of its size, written out here as
+    2 s (n + s) eps (1 + max K_vv): one phi moved by 4 times that bound is
+    counted, in the one monotone trial that reads it and in the exhaustive
+    comparisons of its design, and one moved by a quarter of it is not, on
+    README's chain (design 341 = 0b0101010101 has 5 members).  A bound 10
+    times larger or smaller fails one case or the other."""
+    p = ss.generate(ss.ProblemSpec("chain", n=20, n_s=10, seed=7))
+    big = float(objective.SchurKernel(p, 0).diag.max())
+    eps = np.finfo(float).eps
+    reference = verify._reference_phi
+
+    def moved(p, designs):
+        phi = reference(p, designs)
+        d = len(designs) // 3
+        s = len(designs[d])
+        phi[d] += scale * 2.0 * s * (p.n + s) * eps * (1.0 + big)
+        return phi
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(verify, "_reference_phi", moved)
+            mono = ss.check_monotone(p, trials=30, seed=3)
+            sub = ss.check_submodular(p, mode="exhaustive")
+        shown = patched and counted
+        assert (mono.violations, sub.violations > 0) == (int(shown), shown)
 
 
 def test_check_submodular_modes_agree():
